@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:  # networkx is imported where used: it is heavy at start-up
+    import networkx as nx
 
 __all__ = ["Message", "CommPattern"]
 
@@ -159,8 +160,10 @@ class CommPattern:
         return sum(m.size for m in self._messages)
 
     # -- graph analysis ---------------------------------------------------------
-    def to_networkx(self, include_local: bool = False) -> nx.MultiDiGraph:
+    def to_networkx(self, include_local: bool = False) -> "nx.MultiDiGraph":
         """The pattern as a :class:`networkx.MultiDiGraph` (edge attr ``size``)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         graph.add_nodes_from(range(self.num_procs))
         for m in self._messages:
@@ -174,8 +177,9 @@ class CommPattern:
         Cyclic patterns deadlock the worst-case algorithm unless it breaks
         the cycle with forced sends (paper section 4.2).
         """
-        graph = self.to_networkx()
-        return not nx.is_directed_acyclic_graph(graph)
+        import networkx as nx
+
+        return not nx.is_directed_acyclic_graph(self.to_networkx())
 
     def validate(self) -> None:
         """Raise ``ValueError`` on malformed patterns (defensive checks)."""

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, Optional
+from bisect import bisect_left
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .events import WALL_TRACK, TraceEvent
 from .metrics import MetricsRegistry
@@ -51,15 +53,28 @@ def _tid(proc: int) -> int:
 
 
 def _synth_wait(slices: list[TraceEvent]) -> list[TraceEvent]:
-    """Wait slices for the uncovered parts of each ``comm`` phase."""
+    """Wait slices for the uncovered parts of each ``comm`` phase.
+
+    Linear in the ops each phase covers.  The ops are sorted by
+    ``(ts, end)``, so a phase bisects to its first candidate (the first op
+    with ``ts >= phase.ts - eps``) and stops at the first op with
+    ``ts > phase.end + eps``.  That stop is exact because every emitted
+    ``send``/``recv`` has ``dur >= 0``: such an op ends past the phase too,
+    and so does every op after it.
+    """
     out: list[TraceEvent] = []
     ops = sorted(
         (s for s in slices if s.name in _COMM_OPS), key=lambda s: (s.ts, s.end)
     )
+    starts = [op.ts for op in ops]
     for phase in (s for s in slices if s.name == "comm"):
         cursor = phase.ts
-        for op in ops:
-            if op.ts < phase.ts - _WAIT_EPS or op.end > phase.end + _WAIT_EPS:
+        limit = phase.end + _WAIT_EPS
+        for op in islice(ops, bisect_left(starts, phase.ts - _WAIT_EPS), None):
+            if op.ts > limit:
+                break
+            end = op.end
+            if end > limit:
                 continue
             if op.ts - cursor > _WAIT_EPS:
                 out.append(
@@ -68,7 +83,7 @@ def _synth_wait(slices: list[TraceEvent]) -> list[TraceEvent]:
                         proc=phase.proc, track=phase.track,
                     )
                 )
-            cursor = max(cursor, op.end)
+            cursor = max(cursor, end)
         if phase.end - cursor > _WAIT_EPS:
             out.append(
                 TraceEvent(
@@ -112,50 +127,108 @@ def _nested_begin_end(slices: list[TraceEvent], pid: int) -> list[dict]:
     return out
 
 
+def _group(
+    events: Iterable[TraceEvent],
+) -> dict[str, dict[int, tuple[list[TraceEvent], list[TraceEvent]]]]:
+    """One pass: ``track -> proc -> (slices, instants)``, first-seen order.
+
+    A proc is registered by any event on it, whatever its kind, so it gets
+    its thread-name record even with nothing to draw.
+    """
+    tracks: dict[str, dict[int, tuple[list, list]]] = {}
+    for e in events:
+        procs = tracks.get(e.track)
+        if procs is None:
+            procs = tracks[e.track] = {}
+        lanes = procs.get(e.proc)
+        if lanes is None:
+            lanes = procs[e.proc] = ([], [])
+        if e.kind == "slice":
+            lanes[0].append(e)
+        elif e.kind == "instant":
+            lanes[1].append(e)
+    return tracks
+
+
+def _chrome_batches(
+    events: Iterable[TraceEvent], synthesize_wait: bool
+) -> Iterator[list[dict]]:
+    """The ``traceEvents`` records, one non-empty list at a time.
+
+    A track's process-name record comes first, then one list per
+    processor (in proc order): its thread-name record, its slices as B/E
+    pairs, then its instants.  Only one list is alive at a time, so a
+    streamed write holds one thread's records, not the whole trace.
+    """
+    for pid, (track, procs) in enumerate(_group(events).items()):
+        yield [{"ph": "M", "ts": 0, "pid": pid, "tid": 0, "name": "process_name",
+                "args": {"name": track}}]
+        for proc in sorted(procs):
+            slices, instants = procs[proc]
+            tid = _tid(proc)
+            batch = [{"ph": "M", "ts": 0, "pid": pid, "tid": tid,
+                      "name": "thread_name",
+                      "args": {"name": f"P{proc}" if proc >= 0 else "machine"}}]
+            if synthesize_wait and track != WALL_TRACK:
+                slices = slices + _synth_wait(slices)
+            batch.extend(_nested_begin_end(slices, pid))
+            for e in instants:
+                ev = {"ph": "i", "ts": e.ts, "pid": pid, "tid": tid,
+                      "name": e.name, "s": "t"}
+                if e.attrs:
+                    ev["args"] = dict(e.attrs)
+                batch.append(ev)
+            yield batch
+
+
+def _other_fields(metrics: Optional[MetricsRegistry]) -> dict:
+    """The top-level fields besides ``traceEvents``, in document order."""
+    doc: dict = {"displayTimeUnit": "ms"}
+    if metrics is not None:
+        doc["otherData"] = {"metrics": metrics.snapshot()}
+    return doc
+
+
 def to_chrome_trace(
     events: Iterable[TraceEvent],
     metrics: Optional[MetricsRegistry] = None,
     synthesize_wait: bool = True,
 ) -> dict:
     """Convert an event stream to a Chrome trace-event JSON object."""
-    events = list(events)
-    tracks: list[str] = []
-    for e in events:
-        if e.track not in tracks:
-            tracks.append(e.track)
-    pid_of = {t: i for i, t in enumerate(tracks)}
+    trace_events = [
+        ev for batch in _chrome_batches(events, synthesize_wait) for ev in batch
+    ]
+    return {"traceEvents": trace_events, **_other_fields(metrics)}
 
-    trace_events: list[dict] = []
-    for track in tracks:
-        pid = pid_of[track]
-        trace_events.append(
-            {"ph": "M", "ts": 0, "pid": pid, "tid": 0, "name": "process_name",
-             "args": {"name": track}}
-        )
-        mine = [e for e in events if e.track == track]
-        procs = sorted({e.proc for e in mine})
-        for proc in procs:
-            trace_events.append(
-                {"ph": "M", "ts": 0, "pid": pid, "tid": _tid(proc),
-                 "name": "thread_name",
-                 "args": {"name": f"P{proc}" if proc >= 0 else "machine"}}
-            )
-            slices = [e for e in mine if e.proc == proc and e.kind == "slice"]
-            if synthesize_wait and track != WALL_TRACK:
-                slices = slices + _synth_wait(slices)
-            trace_events.extend(_nested_begin_end(slices, pid))
-            for e in mine:
-                if e.proc == proc and e.kind == "instant":
-                    ev = {"ph": "i", "ts": e.ts, "pid": pid, "tid": _tid(proc),
-                          "name": e.name, "s": "t"}
-                    if e.attrs:
-                        ev["args"] = dict(e.attrs)
-                    trace_events.append(ev)
 
-    doc: dict = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-    if metrics is not None:
-        doc["otherData"] = {"metrics": metrics.snapshot()}
-    return doc
+def _write_chrome(
+    events: Iterable[TraceEvent],
+    path,
+    metrics: Optional[MetricsRegistry] = None,
+    synthesize_wait: bool = True,
+    sort_keys: bool = False,
+) -> None:
+    """Stream ``json.dumps(to_chrome_trace(...), sort_keys=...)`` to ``path``.
+
+    Each batch goes through the C encoder and is written with its
+    brackets stripped, joined by the encoder's own ``", "``, so the bytes
+    equal the one-shot dump while neither the document nor its string is
+    ever built whole.
+    """
+    encode = json.JSONEncoder(sort_keys=sort_keys).encode
+    rest = encode(_other_fields(metrics))
+    if sort_keys:  # "traceEvents" sorts after every other top-level key
+        head, tail = rest[:-1] + ', "traceEvents": [', "]}"
+    else:
+        head, tail = '{"traceEvents": [', "], " + rest[1:]
+    with open(path, "w") as fh:
+        fh.write(head)
+        sep = ""
+        for batch in _chrome_batches(events, synthesize_wait):
+            fh.write(sep)
+            fh.write(encode(batch)[1:-1])
+            sep = ", "
+        fh.write(tail)
 
 
 def write_chrome_trace(
@@ -164,10 +237,8 @@ def write_chrome_trace(
     metrics: Optional[MetricsRegistry] = None,
     synthesize_wait: bool = True,
 ) -> None:
-    """Write the Chrome trace JSON for ``events`` to ``path``."""
-    doc = to_chrome_trace(events, metrics=metrics, synthesize_wait=synthesize_wait)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    """Write the Chrome trace JSON for ``events`` to ``path``, streamed."""
+    _write_chrome(events, path, metrics=metrics, synthesize_wait=synthesize_wait)
 
 
 def events_from_chrome_trace(doc: dict) -> list[TraceEvent]:

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .events import WALL_TRACK, TraceEvent, Tracer
-from .export import to_chrome_trace
+from .export import _write_chrome
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -395,11 +395,9 @@ def validate_span_tree(
 # -- merged exports -----------------------------------------------------------
 def write_merged_trace(merged: MergedTrace, path) -> Path:
     """Write the merged timeline as Chrome/Perfetto trace JSON."""
-    doc = to_chrome_trace(merged.events, metrics=merged.metrics)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    _write_chrome(merged.events, out, metrics=merged.metrics, sort_keys=True)
     return out
 
 

@@ -1,10 +1,26 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_import_leaves_networkx_unloaded():
+    """networkx is a test-side graph oracle; CLI start-up must not pay for it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, repro.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestParser:
