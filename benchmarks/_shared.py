@@ -2,7 +2,7 @@
 
 Scale control
 -------------
-``REPRO_FAST=1`` in the environment switches from the paper's full scale
+``REPRO_BENCH_REDUCED=1`` in the environment switches from the paper's full scale
 (960x960, all 14 block sizes — a few minutes of simulation) to a reduced
 480x480 sweep (seconds).  The claims checked are the same.
 
@@ -26,13 +26,13 @@ from repro.obs import RunRecord, loggp_dict
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-FAST = os.environ.get("REPRO_FAST", "0") == "1"
+REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "0") == "1"
 
-#: the paper's configuration (full) or the reduced one (fast)
-MATRIX_N = 480 if FAST else PAPER_MATRIX_N
+#: the paper's configuration (full) or the reduced one
+MATRIX_N = 480 if REDUCED else PAPER_MATRIX_N
 BLOCK_SIZES = (
     tuple(b for b in PAPER_BLOCK_SIZES if MATRIX_N % b == 0 and b >= 15)
-    if FAST
+    if REDUCED
     else PAPER_BLOCK_SIZES
 )
 LAYOUTS = ("diagonal", "stripped")
@@ -40,10 +40,10 @@ PARAMS = MEIKO_CS2
 COST_MODEL = CalibratedCostModel()
 
 #: per-node cache.  Each processor holds n^2*8/P bytes of blocks no matter
-#: the block size; the fast scale shrinks that footprint 4x, so the cache
+#: the block size; the reduced scale shrinks that footprint 4x, so the cache
 #: shrinks with it to keep the paper's overflow regime (and hence all the
 #: cache-effect claims) intact.
-CACHE_BYTES = CS2_CACHE_BYTES // 4 if FAST else CS2_CACHE_BYTES
+CACHE_BYTES = CS2_CACHE_BYTES // 4 if REDUCED else CS2_CACHE_BYTES
 
 
 def make_emulator(seed: int = 0) -> MachineEmulator:
@@ -94,7 +94,7 @@ def emit(name: str, text: str, **run_facts) -> None:
     record = RunRecord.begin(f"bench:{name}")
     record.note(
         params=loggp_dict(PARAMS),
-        workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES), "fast": FAST},
+        workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES), "fast": REDUCED},
         results_txt=str(RESULTS_DIR / f"{name}.txt"),
         **run_facts,
     )
@@ -103,7 +103,7 @@ def emit(name: str, text: str, **run_facts) -> None:
 
 def scale_banner() -> str:
     """One line describing the active scale (prefixed to every figure)."""
-    mode = "REPRO_FAST reduced scale" if FAST else "paper scale"
+    mode = "REPRO_BENCH_REDUCED reduced scale" if REDUCED else "paper scale"
     return (
         f"{mode}: n={MATRIX_N}, P={PARAMS.P}, block sizes {list(BLOCK_SIZES)}, "
         f"{PARAMS.describe()}"

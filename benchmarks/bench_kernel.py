@@ -1,4 +1,4 @@
-"""Steady-state throughput of the fast simulation kernel.
+"""Steady-state throughput of the simulation kernel.
 
 The kernel (:mod:`repro.kernel`) exists to make the Figure 7 sweep hot
 path — GE predictions (all three engines' work lives here) plus the
@@ -6,17 +6,17 @@ emulated "measured" run per point — cheap enough for dense grids and
 Monte Carlo studies.  This bench quantifies it on exactly that workload
 and gates the two claims the kernel makes:
 
-* ``identical``        — the fast sweep's ``results_sha256`` equals the
-  reference sweep's.  **The hard gate**: any bit of drift fails the
+* ``identical``        — the kernel sweep's ``results_sha256`` equals
+  the reference sweep's (the simulators of ``tests/oracle.py``).  **The hard gate**: any bit of drift fails the
   bench outright, on every host.
 * ``speedup``          — reference wall-clock / steady-state fast
   wall-clock.  Target ≥ 2×; asserted only on hosts with ≥ 4 CPUs
   (small/noisy runners can't time reliably; ``cpu_count`` is recorded
   so the number can be judged in context).
 
-"Steady state" means caches warm: the first fast pass populates the
-cost memos and shared traces (and doubles as the identity run), the
-second pass is the one timed.  ``points_per_sec_fast`` from that pass
+"Steady state" means caches warm: the first kernel pass populates the
+cost memos (and doubles as the identity run), the second pass is the
+one timed.  ``points_per_sec_fast`` from that pass
 lands in ``BENCH_kernel.json`` at the repo root, which
 ``benchmarks/check_throughput.py --kernel`` compares against the
 checked-in baseline (``benchmarks/baselines/kernel_throughput.json``)
@@ -28,30 +28,34 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _shared import (  # noqa: E402
     BLOCK_SIZES,
     COST_MODEL,
-    FAST,
     LAYOUTS,
     MATRIX_N,
     PARAMS,
+    REDUCED,
     scale_banner,
 )
 
-from repro.kernel import clear_all_caches, fast_path  # noqa: E402
+from repro.kernel import clear_all_caches  # noqa: E402
 from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid, run_sweep  # noqa: E402
+from tests.oracle import reference_engine  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 TARGET_SPEEDUP = 2.0
 
 
 def _timed_sweep(grid, fast: bool):
-    with fast_path(fast):
+    """One serial sweep on the kernel (``fast``) or the reference oracle."""
+    with nullcontext() if fast else reference_engine():
         t0 = time.perf_counter()
         result = run_sweep(grid, PARAMS, COST_MODEL, workers=1, store=None)
         elapsed = time.perf_counter() - t0
@@ -73,7 +77,7 @@ def run_bench() -> dict:
     record = {
         "bench": "kernel",
         "scale": scale_banner(),
-        "fast_scale": FAST,
+        "fast_scale": REDUCED,
         "n": MATRIX_N,
         "block_sizes": list(BLOCK_SIZES),
         "layouts": list(LAYOUTS),
@@ -96,24 +100,24 @@ def run_bench() -> dict:
     manifest.note(
         params=loggp_dict(PARAMS), engine="kernel",
         workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES),
-                  "layouts": list(LAYOUTS), "fast_scale": FAST},
+                  "layouts": list(LAYOUTS), "fast_scale": REDUCED},
         **{k: record[k] for k in
            ("points", "cpu_count", "reference_s", "fast_s",
             "points_per_sec_fast", "speedup", "identical", "results_sha256")},
     ).finish().write()
 
     print()
-    print(f"fast kernel — {scale_banner()}")
+    print(f"kernel — {scale_banner()}")
     print(f"  grid points               : {len(grid)}")
-    print(f"  reference (REPRO_FAST off): {ref_s:8.3f} s "
+    print(f"  reference (tests oracle)  : {ref_s:8.3f} s "
           f"({record['points_per_sec_ref']:.2f} points/s)")
-    print(f"  fast, cold caches         : {warmup_s:8.3f} s")
-    print(f"  fast, steady state        : {fast_s:8.3f} s "
+    print(f"  kernel, cold caches       : {warmup_s:8.3f} s")
+    print(f"  kernel, steady state      : {fast_s:8.3f} s "
           f"({record['points_per_sec_fast']:.2f} points/s)")
     print(f"  speedup                   : {speedup:.2f}x "
           f"(target >= {TARGET_SPEEDUP}x, {cpus} CPUs"
           f"{'' if cpus >= 4 else ' — below 4, target not gated'})")
-    print(f"  fast == reference         : {identical}")
+    print(f"  kernel == reference       : {identical}")
     print(f"  recorded -> {BENCH_JSON.name}")
     return record
 

@@ -29,7 +29,7 @@ import os
 import time
 from pathlib import Path
 
-from _shared import BLOCK_SIZES, COST_MODEL, FAST, MATRIX_N, PARAMS, scale_banner
+from _shared import BLOCK_SIZES, COST_MODEL, MATRIX_N, PARAMS, REDUCED, scale_banner
 
 from repro.core import run_ge_point
 from repro.obs import RunRecord, TraceConfig, Tracer, get_tracer, loggp_dict, tracing
@@ -108,7 +108,7 @@ def test_obs_overhead(benchmark):
     record = {
         "bench": "obs_overhead",
         "scale": scale_banner(),
-        "fast": FAST,
+        "fast": REDUCED,
         "n": MATRIX_N,
         "block_sizes": list(BLOCK_SIZES),
         "cpu_count": cpu_count,
@@ -135,7 +135,7 @@ def test_obs_overhead(benchmark):
     manifest = RunRecord.begin("bench:obs_overhead")
     manifest.note(
         params=loggp_dict(PARAMS), engine="standard",
-        workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES), "fast": FAST},
+        workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES), "fast": REDUCED},
         disabled_overhead_pct=disabled_overhead_pct,
         enabled_overhead_pct=enabled_overhead_pct,
     ).finish(tracer=tracer)

@@ -41,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _shared import COST_MODEL, FAST, LAYOUTS, PARAMS  # noqa: E402
+from _shared import COST_MODEL, LAYOUTS, PARAMS, REDUCED  # noqa: E402
 
 from repro.core.predictor import summarize_ge_point  # noqa: E402
 from repro.obs import RunRecord, loggp_dict  # noqa: E402
@@ -57,14 +57,14 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 #: the serve workload has its own scale: many *distinct* cheap points
 #: (prediction only, no emulated measurement) rather than few expensive
 #: ones — the cache hierarchy is the thing under load, not the kernel.
-MATRIX_N = 240 if FAST else 480
+MATRIX_N = 240 if REDUCED else 480
 BLOCK_SIZES = (
     (8, 10, 12, 16, 20, 24, 30, 40)
-    if FAST
+    if REDUCED
     else (8, 10, 12, 15, 16, 20, 24, 30, 32, 40, 48, 60, 80, 96, 120)
 )
 SEEDS = (0, 1)
-REQUESTS = 1200 if FAST else 2400
+REQUESTS = 1200 if REDUCED else 2400
 THREADS = 8
 ZIPF_S = 1.1
 ZIPF_SEED = 2026
@@ -164,7 +164,7 @@ def run_bench() -> dict:
 
     record = {
         "schema": "repro.bench.serve/v1",
-        "fast": FAST,
+        "fast": REDUCED,
         "scale": {
             "n": MATRIX_N,
             "block_sizes": list(BLOCK_SIZES),
@@ -195,13 +195,13 @@ def run_bench() -> dict:
         params=loggp_dict(PARAMS), engine="serve",
         workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES),
                   "requests": REQUESTS, "threads": THREADS,
-                  "zipf_s": ZIPF_S, "fast": FAST},
+                  "zipf_s": ZIPF_S, "fast": REDUCED},
         **{k: record[k] for k in
            ("distinct_points", "hit_rate", "tiers", "batches",
             "throughput_rps", "latency_us", "identical")},
     ).finish().write()
 
-    mode = "REPRO_FAST reduced scale" if FAST else "paper scale"
+    mode = "REPRO_BENCH_REDUCED reduced scale" if REDUCED else "paper scale"
     lat = stats["latency_us"]
     print()
     print(f"prediction service — {mode}: n={MATRIX_N}, "

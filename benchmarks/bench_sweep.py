@@ -4,13 +4,12 @@ The headline workload — the full Figure 7 GE sweep (every block size ×
 both layouts, predictions *and* the emulated "measured" run), cold
 cache, no experiment store — run three ways:
 
-* ``reference_s``   — ``run_sweep(..., workers=1)`` with the fast path
-  **off**: the seed engine, the bit-identity anchor everything else is
-  judged against.
-* ``serial_fast_s`` — ``executor="serial"`` with the fast path on: the
-  vectorized batch kernel, no pool.
-* ``auto_s``        — ``executor="auto"`` with the fast path on: the
-  self-tuning executor probes one point, estimates the grid, measures
+* ``reference_s``   — ``run_sweep(..., workers=1)`` on the reference
+  simulators of ``tests/oracle.py``: the bit-identity anchor everything
+  else is judged against.
+* ``serial_fast_s`` — ``executor="serial"``: the vectorized batch
+  kernel, no pool.
+* ``auto_s``        — ``executor="auto"``: the self-tuning executor probes one point, estimates the grid, measures
   spawn overhead and picks its strategy (recorded in ``decision``).
 
 Gates:
@@ -26,7 +25,7 @@ Gates:
   analytic weight share, and the CPU count, and hard-gates at
   ``min(target, 0.75 × attainable)`` — honest on every host, while
   recording how far the host physically allows.  Gated only at paper
-  scale on ≥ 4 CPUs; at reduced ``REPRO_FAST`` scale (cheap points
+  scale on ≥ 4 CPUs; at reduced ``REPRO_BENCH_REDUCED`` scale (cheap points
   shrink the kernel's share) the numbers are recorded but not asserted.
 * ``serial_regression`` — on a 1-CPU host auto must not lose to forced
   serial by more than 5% (the 0.87x regression this executor exists to
@@ -43,24 +42,27 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _shared import (  # noqa: E402
     BLOCK_SIZES,
     COST_MODEL,
-    FAST,
     LAYOUTS,
     MATRIX_N,
     PARAMS,
+    REDUCED,
     scale_banner,
 )
 
-from repro.kernel import clear_all_caches, fast_path  # noqa: E402
+from repro.kernel import clear_all_caches  # noqa: E402
 from repro.kernel.memo import point_weight  # noqa: E402
 from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid, run_sweep  # noqa: E402
+from tests.oracle import reference_engine  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 TARGET_SPEEDUP = 10.0
@@ -68,8 +70,9 @@ SERIAL_SLACK = 1.05
 
 
 def _timed_sweep(grid, fast: bool, **kwargs):
+    """One sweep on the kernel (``fast``) or the reference oracle."""
     clear_all_caches()
-    with fast_path(fast):
+    with nullcontext() if fast else reference_engine():
         t0 = time.perf_counter()
         result = run_sweep(grid, PARAMS, COST_MODEL, store=None, **kwargs)
         elapsed = time.perf_counter() - t0
@@ -106,7 +109,7 @@ def run_bench() -> dict:
     record = {
         "bench": "sweep",
         "scale": scale_banner(),
-        "fast": FAST,
+        "fast": REDUCED,
         "n": MATRIX_N,
         "block_sizes": list(BLOCK_SIZES),
         "layouts": list(LAYOUTS),
@@ -123,7 +126,7 @@ def run_bench() -> dict:
         "makespan_floor_s": makespan_floor_s,
         "attainable_speedup": attainable,
         "effective_target": effective_target,
-        "speedup_gated": cpus >= 4 and not FAST,
+        "speedup_gated": cpus >= 4 and not REDUCED,
         "serial_slack": SERIAL_SLACK,
         "serial_regression_gated": cpus == 1,
         "decision": auto.stats.decision,
@@ -136,7 +139,7 @@ def run_bench() -> dict:
     manifest.note(
         params=loggp_dict(PARAMS), engine="sweep",
         workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES),
-                  "layouts": list(LAYOUTS), "fast": FAST},
+                  "layouts": list(LAYOUTS), "fast": REDUCED},
         **{k: record[k] for k in
            ("points", "cpu_count", "reference_s", "serial_fast_s", "auto_s",
             "combined_speedup", "decision", "identical", "results_sha256")},
@@ -145,7 +148,7 @@ def run_bench() -> dict:
     print()
     print(f"sweep engine — {scale_banner()}")
     print(f"  grid points                 : {len(grid)}")
-    print(f"  reference (seed engine)     : {reference_s:8.3f} s")
+    print(f"  reference (tests oracle)    : {reference_s:8.3f} s")
     print(f"  serial + batch kernel       : {serial_fast_s:8.3f} s "
           f"({record['kernel_speedup']:.2f}x)")
     print(f"  auto executor               : {auto_s:8.3f} s "
@@ -161,7 +164,7 @@ def run_bench() -> dict:
 
 def test_sweep_combined_speedup():
     record = run_bench()
-    assert record["identical"], "fast/auto sweep drifted from the seed engine"
+    assert record["identical"], "fast/auto sweep drifted from the reference oracle"
     if record["speedup_gated"]:
         assert record["combined_speedup"] >= record["effective_target"], (
             f"combined speedup {record['combined_speedup']:.2f}x below "
@@ -180,7 +183,7 @@ def test_sweep_combined_speedup():
 if __name__ == "__main__":
     rec = run_bench()
     if not rec["identical"]:
-        sys.exit("FAIL: fast/auto sweep results differ from the seed engine")
+        sys.exit("FAIL: fast/auto sweep results differ from the reference oracle")
     if rec["speedup_gated"] and rec["combined_speedup"] < rec["effective_target"]:
         sys.exit(
             f"FAIL: combined speedup {rec['combined_speedup']:.2f}x below "

@@ -1,13 +1,13 @@
-"""Batch (SoA) kernel vs scalar fast kernel on the Figure 7 workloads.
+"""Batch (SoA) kernel vs scalar kernel on the Figure 7 workloads.
 
 The vectorized batch kernel (:mod:`repro.kernel.vector`) advances many
 sweep points per step over one compiled program plan; this bench
-quantifies what that buys over the scalar fast kernel on the two shapes
+quantifies what that buys over the scalar kernel path on the two shapes
 the sweep engine actually dispatches:
 
 * ``grid``  — the Figure 7 prediction grid (every block size × both
   layouts, predictions only): one batch call vs a scalar
-  ``summarize_ge_point`` loop, both on the fast path, both cold.
+  ``summarize_ge_point``-shaped loop, both cold.
 * ``lanes`` — a replicate batch (one GE configuration, many seeds, the
   UQ engine's shape): ``simulate_programs_batch`` vs per-lane scalar
   ``ProgramSimulator`` runs.
@@ -39,15 +39,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _shared import (  # noqa: E402
     BLOCK_SIZES,
     COST_MODEL,
-    FAST,
     LAYOUTS,
     MATRIX_N,
     PARAMS,
+    REDUCED,
     scale_banner,
 )
 
 from repro.core import ProgramSimulator  # noqa: E402
-from repro.kernel import clear_all_caches, fast_path  # noqa: E402
+from repro.kernel import clear_all_caches  # noqa: E402
 from repro.kernel.vector import (  # noqa: E402
     GE_MODES,
     evaluate_ge_points_batch,
@@ -63,10 +63,10 @@ LANE_B = 60
 
 
 def _grid_workload():
-    # The scalar baseline replicates run_ge_point's scalar fast branch
-    # explicitly (shared trace cache + RunningTimePredictor): with the
-    # kernel enabled and no tracer, summarize_ge_point itself routes
-    # through the batch kernel, which would compare batch against batch.
+    # The scalar baseline replicates run_ge_point's traced branch
+    # explicitly (ge_trace + RunningTimePredictor): untraced,
+    # summarize_ge_point itself routes through the batch kernel, which
+    # would compare batch against batch.
     from repro.core.predictor import (
         GERow,
         RunningTimePredictor,
@@ -77,29 +77,27 @@ def _grid_workload():
     grid = expand_grid(MATRIX_N, BLOCK_SIZES, LAYOUTS, with_measured=False)
 
     clear_all_caches()
-    with fast_path(True):
-        t0 = time.perf_counter()
-        scalar = []
-        for p in grid:
-            trace = ge_trace(p.n, p.b, p.layout, PARAMS.P)
-            pred_std, pred_wc = RunningTimePredictor(
-                PARAMS, COST_MODEL, seed=p.seed
-            ).predict_both(trace)
-            scalar.append(
-                _flatten_ge_row(
-                    GERow(n=p.n, b=p.b, layout=p.layout,
-                          pred_standard=pred_std, pred_worstcase=pred_wc,
-                          measured=None),
-                    p.seed,
-                )
+    t0 = time.perf_counter()
+    scalar = []
+    for p in grid:
+        trace = ge_trace(p.n, p.b, p.layout, PARAMS.P)
+        pred_std, pred_wc = RunningTimePredictor(
+            PARAMS, COST_MODEL, seed=p.seed
+        ).predict_both(trace)
+        scalar.append(
+            _flatten_ge_row(
+                GERow(n=p.n, b=p.b, layout=p.layout,
+                      pred_standard=pred_std, pred_worstcase=pred_wc,
+                      measured=None),
+                p.seed,
             )
-        scalar_s = time.perf_counter() - t0
+        )
+    scalar_s = time.perf_counter() - t0
 
     clear_all_caches()
-    with fast_path(True):
-        t0 = time.perf_counter()
-        batch = evaluate_ge_points_batch(grid, PARAMS, COST_MODEL)
-        batch_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    batch = evaluate_ge_points_batch(grid, PARAMS, COST_MODEL)
+    batch_s = time.perf_counter() - t0
 
     identical = all(
         {k: repr(v) for k, v in b.items()} == {k: repr(v) for k, v in s.items()}
@@ -113,18 +111,17 @@ def _lane_workload():
     lanes = [(PARAMS, COST_MODEL)] * len(LANE_SEEDS)
 
     clear_all_caches()
-    with fast_path(True):
-        t0 = time.perf_counter()
-        scalar = [
-            {
-                mode: ProgramSimulator(
-                    PARAMS, COST_MODEL, mode=mode, seed=seed
-                ).run(plan.trace)
-                for mode in GE_MODES
-            }
-            for seed in LANE_SEEDS
-        ]
-        scalar_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scalar = [
+        {
+            mode: ProgramSimulator(
+                PARAMS, COST_MODEL, mode=mode, seed=seed
+            ).run(plan.trace)
+            for mode in GE_MODES
+        }
+        for seed in LANE_SEEDS
+    ]
+    scalar_s = time.perf_counter() - t0
 
     clear_all_caches()
     from repro.kernel.vector import simulate_programs_batch
@@ -157,7 +154,7 @@ def run_bench() -> dict:
     record = {
         "bench": "vector",
         "scale": scale_banner(),
-        "fast": FAST,
+        "fast": REDUCED,
         "n": MATRIX_N,
         "block_sizes": list(BLOCK_SIZES),
         "layouts": list(LAYOUTS),
@@ -173,7 +170,7 @@ def run_bench() -> dict:
         "lane_batch_s": lane_batch_s,
         "speedup_lanes": lane_scalar_s / lane_batch_s if lane_batch_s else float("inf"),
         "target_speedup": TARGET_SPEEDUP,
-        "speedup_gated": cpus >= 4 and not FAST,
+        "speedup_gated": cpus >= 4 and not REDUCED,
         "identical": grid_ok and lane_ok,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
@@ -182,7 +179,7 @@ def run_bench() -> dict:
     manifest.note(
         params=loggp_dict(PARAMS), engine="vector",
         workload={"n": MATRIX_N, "block_sizes": list(BLOCK_SIZES),
-                  "layouts": list(LAYOUTS), "fast": FAST},
+                  "layouts": list(LAYOUTS), "fast": REDUCED},
         **{k: record[k] for k in
            ("grid_points", "cpu_count", "grid_scalar_s", "grid_batch_s",
             "speedup_grid", "speedup_lanes", "identical")},
@@ -191,7 +188,7 @@ def run_bench() -> dict:
     print()
     print(f"vector batch kernel — {scale_banner()}")
     print(f"  grid points                : {grid_pts}")
-    print(f"  grid scalar (fast)         : {grid_scalar_s:8.3f} s")
+    print(f"  grid scalar                : {grid_scalar_s:8.3f} s")
     print(f"  grid batch  (SoA)          : {grid_batch_s:8.3f} s")
     print(f"  grid speedup               : {record['speedup_grid']:.2f}x")
     print(f"  lanes ({lane_n} seeds, b={LANE_B})    "

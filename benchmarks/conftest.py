@@ -5,7 +5,7 @@ Run with::
     pytest benchmarks/ --benchmark-only -s
 
 ``-s`` shows the reproduced figure tables inline; they are always also
-written to ``benchmarks/results/``.  ``REPRO_FAST=1`` reduces the scale
+written to ``benchmarks/results/``.  ``REPRO_BENCH_REDUCED=1`` reduces the scale
 (see ``_shared.py``).
 """
 

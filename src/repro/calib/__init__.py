@@ -25,8 +25,8 @@ Two anchors make the whole stochastic pipeline testable exactly:
   ``repro uq --posterior`` reproduces the plain sweep digest;
 * **seeded everything** — measurement noise and the chain both draw
   from :func:`repro.uq.sampler.child_rng` streams, so posterior
-  summaries are exact-equality golden-testable across platforms,
-  worker counts and ``REPRO_FAST``.
+  summaries are exact-equality golden-testable across platforms and
+  worker counts.
 
 CLI front-end: ``python -m repro calibrate --noise-sigma 0.05``.
 """

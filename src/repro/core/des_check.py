@@ -1,9 +1,9 @@
 """Causal event-driven LogGP execution (cross-check of the Figure 2 algorithm).
 
-This is an independent, process-per-processor implementation of the LogGP
-communication step on the :mod:`repro.des` engine.  Each processor runs as
-a coroutine that issues its sends as soon as possible but gives priority to
-any message that has already arrived — the Split-C active-message policy.
+This is an independent, process-per-processor model of the LogGP
+communication step: each processor behaves as a coroutine that issues its
+sends as soon as possible but gives priority to any message that has
+already arrived — the Split-C active-message policy.
 
 It differs from the paper's Figure 2 algorithm in one deliberate way: it is
 strictly *causal*.  The Figure 2 algorithm lets a processor commit to a
@@ -17,41 +17,24 @@ bit later than the LogGP model expected, the whole sequence ... can be
 completely changed" (section 4.1).  The test suite uses this module both as
 an exact cross-check on order-forced patterns and as an invariant-preserving
 second opinion elsewhere.
+
+It runs as :func:`repro.kernel.fastdes.simulate_causal_fast`, a flat-heap
+replay of the coroutine model on the :mod:`repro.des` engine; that model
+itself, the readable specification the kernel must match event for
+event, is the differential oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from ..des import Environment, Event
-from ..kernel import flags as _kernel_flags
-from ..obs.events import get_tracer
-from .events import CommEvent, StepTimeline
-from .loggp import LogGPParameters, OpKind
-from .message import CommPattern, Message
+from .loggp import LogGPParameters
+from .message import CommPattern
 from .standard_sim import SimulationResult
 
 __all__ = ["simulate_causal"]
-
-_INF = float("inf")
-
-
-class _Proc:
-    __slots__ = ("pid", "last_kind", "last_end", "sends", "arrived", "wakeup", "received")
-
-    def __init__(self, pid: int, ctime: float, sends: tuple[Message, ...]):
-        self.pid = pid
-        self.last_kind: Optional[OpKind] = None
-        self.last_end = ctime
-        self.sends: deque[Message] = deque(sends)
-        self.arrived: list[tuple[float, int, Message]] = []
-        self.wakeup: Optional[Event] = None
-        self.received = 0
 
 
 def simulate_causal(
@@ -73,97 +56,6 @@ def simulate_causal(
     (the machine emulator's jittered network); default is ``params.L``.
     """
     del rng, seed  # deterministic; kept for API symmetry
-    if _kernel_flags.enabled:
-        from ..kernel.fastdes import simulate_causal_fast
+    from ..kernel.fastdes import simulate_causal_fast
 
-        return simulate_causal_fast(params, pattern, start_times, latency_of)
-    if latency_of is None:
-        latency_of = lambda _msg: params.L  # noqa: E731 - tiny closure
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    local = pattern.local_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-
-    expected = {p: sum(1 for m in remote if m.dst == p) for p in procs}
-    state = {
-        p: _Proc(p, starts.get(p, 0.0), tuple(m for m in remote if m.src == p))
-        for p in procs
-    }
-    timeline = StepTimeline(
-        params=params, start_times={p: starts.get(p, 0.0) for p in procs}
-    )
-
-    env = Environment()
-
-    def deliver(dst: int, msg: Message, wire_delay: float):
-        """Carry a message across the wire, then wake the destination."""
-        yield env.timeout(wire_delay)
-        st = state[dst]
-        heapq.heappush(st.arrived, (env.now, msg.uid, msg))
-        if st.wakeup is not None and not st.wakeup.triggered:
-            st.wakeup.succeed()
-
-    def processor(pid: int):
-        st = state[pid]
-        while st.sends or st.received < expected[pid]:
-            now = env.now
-            if st.sends:
-                send_start = max(
-                    now, params.earliest_start(st.last_kind, st.last_end, OpKind.SEND)
-                )
-            else:
-                send_start = _INF
-            if st.arrived:
-                recv_start = max(
-                    now,
-                    st.arrived[0][0],
-                    params.earliest_start(st.last_kind, st.last_end, OpKind.RECV),
-                )
-            else:
-                recv_start = _INF
-
-            if st.arrived and recv_start <= send_start:
-                # Receive priority (strict '<' in Figure 2 == '<=' here,
-                # because the send is the one that must yield).
-                arrival, _, msg = heapq.heappop(st.arrived)
-                if recv_start > now:
-                    yield env.timeout(recv_start - now)
-                duration = params.recv_duration(msg.size)
-                timeline.add(
-                    CommEvent(pid, OpKind.RECV, recv_start, duration, msg, arrival=arrival)
-                )
-                yield env.timeout(duration)
-                st.last_kind, st.last_end = OpKind.RECV, recv_start + duration
-                st.received += 1
-            elif st.sends:
-                if send_start > now:
-                    # Wait for the send slot, but re-evaluate on any arrival.
-                    st.wakeup = env.event()
-                    yield env.any_of([env.timeout(send_start - now), st.wakeup])
-                    st.wakeup = None
-                    continue
-                msg = st.sends.popleft()
-                duration = params.send_duration(msg.size)
-                timeline.add(CommEvent(pid, OpKind.SEND, send_start, duration, msg))
-                yield env.timeout(duration)
-                st.last_kind, st.last_end = OpKind.SEND, send_start + duration
-                env.process(deliver(msg.dst, msg, latency_of(msg)))
-            else:
-                # Nothing sendable and nothing arrived: block until delivery.
-                st.wakeup = env.event()
-                yield st.wakeup
-                st.wakeup = None
-
-    # Start clocks are enforced through each _Proc.last_end, so every
-    # processor coroutine can start at simulation time zero.
-    for p in procs:
-        env.process(processor(p), name=f"P{p}")
-
-    env.run()
-
-    ctimes = {p: state[p].last_end for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.causal")
-        tracer.emit_comm_step(timeline, ctimes, algo="causal")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    return simulate_causal_fast(params, pattern, start_times, latency_of)

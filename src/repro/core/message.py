@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
-if TYPE_CHECKING:  # networkx is imported where used: it is heavy at start-up
+if TYPE_CHECKING:  # networkx is optional (the ``test`` extra): only to_networkx uses it
     import networkx as nx
 
 __all__ = ["Message", "CommPattern"]
@@ -175,11 +175,25 @@ class CommPattern:
         """True if the remote-message graph contains a directed cycle.
 
         Cyclic patterns deadlock the worst-case algorithm unless it breaks
-        the cycle with forced sends (paper section 4.2).
+        the cycle with forced sends (paper section 4.2).  Kahn's algorithm:
+        repeatedly retire processors with no unretired incoming edge; a
+        cycle is whatever can never be retired.
         """
-        import networkx as nx
-
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
+        indegree = [0] * self.num_procs
+        successors: list[list[int]] = [[] for _ in range(self.num_procs)]
+        for m in self._messages:
+            if not m.is_local:
+                successors[m.src].append(m.dst)
+                indegree[m.dst] += 1
+        ready = [p for p in range(self.num_procs) if indegree[p] == 0]
+        retired = 0
+        while ready:
+            retired += 1
+            for q in successors[ready.pop()]:
+                indegree[q] -= 1
+                if indegree[q] == 0:
+                    ready.append(q)
+        return retired < self.num_procs
 
     def validate(self) -> None:
         """Raise ``ValueError`` on malformed patterns (defensive checks)."""

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..apps.gauss import GEConfig, build_ge_trace
-from ..kernel import flags as _kernel_flags
+from ..kernel.tracecache import ge_trace
 from ..layouts import LAYOUTS
 from ..machine.emulator import MachineEmulator, MeasuredReport
+from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .cache_extension import CachePredictionModel
 from .costmodel import CostModel
@@ -120,39 +120,28 @@ def run_ge_point(
     """
     if layout_name not in LAYOUTS:
         raise ValueError(f"unknown layout {layout_name!r}; known: {sorted(LAYOUTS)}")
-    if _kernel_flags.enabled:
-        from ..obs.events import get_tracer
+    if not get_tracer().enabled:
+        # Untraced: the batch kernel's width-1 lane, which runs the
+        # identical float-operation sequence over a compiled plan (the
+        # traced path below stays the sole source of the event stream).
+        from ..kernel.vector import ge_plan, simulate_programs_batch
 
-        if not get_tracer().enabled:
-            # Fast and untraced: the batch kernel's width-1 lane, which
-            # runs the identical float-operation sequence over a shared
-            # compiled plan (the traced path below stays the sole source
-            # of the event stream).
-            from ..kernel.vector import ge_plan, simulate_programs_batch
-
-            plan = ge_plan(n, b, layout_name, params.P)
-            reports = simulate_programs_batch(plan, [(params, cost_model)], [seed])[0]
-            measured = None
-            if with_measured:
-                measured = _measured_report(
-                    plan.trace, params, cost_model, seed, emulator=emulator
-                )
-            return GERow(
-                n=n,
-                b=b,
-                layout=layout_name,
-                pred_standard=reports["standard"],
-                pred_worstcase=reports["worstcase"],
-                measured=measured,
+        plan = ge_plan(n, b, layout_name, params.P)
+        reports = simulate_programs_batch(plan, [(params, cost_model)], [seed])[0]
+        measured = None
+        if with_measured:
+            measured = _measured_report(
+                plan.trace, params, cost_model, seed, emulator=emulator
             )
-        # Rebuilt traces are bit-identical (per-pattern uid counters), so
-        # sweep/UQ replicates can share one cached copy per configuration.
-        from ..kernel.tracecache import ge_trace
-
-        trace = ge_trace(n, b, layout_name, params.P)
-    else:
-        layout = LAYOUTS[layout_name](n // b, params.P)
-        trace = build_ge_trace(GEConfig(n=n, b=b, layout=layout))
+        return GERow(
+            n=n,
+            b=b,
+            layout=layout_name,
+            pred_standard=reports["standard"],
+            pred_worstcase=reports["worstcase"],
+            measured=measured,
+        )
+    trace = ge_trace(n, b, layout_name, params.P)
     predictor = RunningTimePredictor(params, cost_model, seed=seed)
     pred_std, pred_wc = predictor.predict_both(trace)
     measured = None

@@ -29,7 +29,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from ..kernel import flags as _kernel_flags
+from ..kernel.memo import memoize
 from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace, Step
 from .cache_extension import CachePredictionModel
@@ -202,11 +202,7 @@ class ProgramSimulator:
 
     def _run_traced(self, trace: ProgramTrace, tracer) -> PredictionReport:
         simulate = _SIMULATORS[self.mode]
-        cost_model = self.cost_model
-        if _kernel_flags.enabled:
-            from ..kernel.memo import memoize
-
-            cost_model = memoize(cost_model)
+        cost_model = memoize(self.cost_model)
         rng = self.rng if self.rng is not None else np.random.default_rng(self.seed)
         clocks = {p: 0.0 for p in range(trace.num_procs)}
         comp = {p: 0.0 for p in range(trace.num_procs)}

@@ -21,21 +21,21 @@ sends are done, every processor drains its receive queue.
 Self-messages are local memory transfers in real execution and are
 deliberately excluded here (paper section 6.3); they are reported in
 :attr:`SimulationResult.skipped_local`.
+
+The loop runs in :func:`repro.kernel.fastsim.simulate_standard_fast`;
+its readable transcription, which the kernel must match bit for bit, is
+the differential oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from ..kernel import flags as _kernel_flags
-from ..obs.events import get_tracer
-from .events import CommEvent, StepTimeline
-from .loggp import LogGPParameters, OpKind
+from .events import StepTimeline
+from .loggp import LogGPParameters
 from .message import CommPattern, Message
 
 __all__ = ["SimulationResult", "simulate_standard", "StandardSimulator"]
@@ -61,19 +61,6 @@ class SimulationResult:
         starts = start_times if start_times is not None else self.timeline.start_times
         base = min(starts.values(), default=0.0) if starts else 0.0
         return self.completion_time - base
-
-
-class _ProcState:
-    """Mutable per-processor simulation state."""
-
-    __slots__ = ("ctime", "last_kind", "send_queue", "recv_heap")
-
-    def __init__(self, ctime: float, sends: tuple[Message, ...]):
-        self.ctime = ctime
-        self.last_kind: Optional[OpKind] = None
-        self.send_queue: deque[Message] = deque(sends)
-        # entries: (arrival_time, uid, Message)
-        self.recv_heap: list[tuple[float, int, Message]] = []
 
 
 class StandardSimulator:
@@ -128,80 +115,6 @@ def _simulate(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
 ) -> SimulationResult:
-    if _kernel_flags.enabled:
-        from ..kernel.fastsim import simulate_standard_fast
+    from ..kernel.fastsim import simulate_standard_fast
 
-        return simulate_standard_fast(params, pattern, start_times, rng)
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    local = pattern.local_messages()
-
-    procs = sorted(
-        {m.src for m in remote} | {m.dst for m in remote} | set(starts)
-    )
-    state: dict[int, _ProcState] = {}
-    for p in procs:
-        sends = tuple(m for m in remote if m.src == p)
-        state[p] = _ProcState(starts.get(p, 0.0), sends)
-
-    timeline = StepTimeline(params=params, start_times={p: starts.get(p, 0.0) for p in procs})
-
-    def do_send(proc: int) -> None:
-        st = state[proc]
-        msg = st.send_queue.popleft()
-        start = params.earliest_start(st.last_kind, st.ctime, OpKind.SEND)
-        duration = params.send_duration(msg.size)
-        timeline.add(CommEvent(proc, OpKind.SEND, start, duration, msg))
-        st.ctime = start + duration
-        st.last_kind = OpKind.SEND
-        arrival = start + duration + params.L
-        heapq.heappush(state[msg.dst].recv_heap, (arrival, msg.uid, msg))
-
-    def do_recv(proc: int) -> None:
-        st = state[proc]
-        arrival, _, msg = heapq.heappop(st.recv_heap)
-        earliest = params.earliest_start(st.last_kind, st.ctime, OpKind.RECV)
-        start = max(arrival, earliest)
-        duration = params.recv_duration(msg.size)
-        timeline.add(
-            CommEvent(proc, OpKind.RECV, start, duration, msg, arrival=arrival)
-        )
-        st.ctime = start + duration
-        st.last_kind = OpKind.RECV
-
-    # Main loop: processors that still want to send, in ctime order.
-    while True:
-        senders = [p for p in procs if state[p].send_queue]
-        if not senders:
-            break
-        min_ct = min(state[p].ctime for p in senders)
-        tied = [p for p in senders if state[p].ctime == min_ct]
-        min_proc = tied[0] if len(tied) == 1 else int(rng.choice(tied))
-        st = state[min_proc]
-
-        if st.recv_heap:
-            arrival = st.recv_heap[0][0]
-            start_recv = max(
-                arrival, params.earliest_start(st.last_kind, st.ctime, OpKind.RECV)
-            )
-        else:
-            start_recv = float("inf")
-        start_send = params.earliest_start(st.last_kind, st.ctime, OpKind.SEND)
-
-        # Strict '<' gives receives priority over sends on equal start times.
-        if start_send < start_recv:
-            do_send(min_proc)
-        else:
-            do_recv(min_proc)
-
-    # Drain: every processor performs its remaining receives.
-    for p in procs:
-        while state[p].recv_heap:
-            do_recv(p)
-
-    ctimes = {p: state[p].ctime for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.standard")
-        tracer.emit_comm_step(timeline, ctimes, algo="standard")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    return simulate_standard_fast(params, pattern, start_times, rng)

@@ -16,37 +16,23 @@ transmissions in order to break the deadlock"; here a uniformly random
 blocked sender (seeded RNG) is forced to transmit its next message.
 
 The same LogGP gap rules (Figure 1) apply as in the standard algorithm.
+
+The rounds run in :func:`repro.kernel.fastsim.simulate_worstcase_fast`;
+their readable transcription, which the kernel must match bit for bit,
+is the differential oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from ..kernel import flags as _kernel_flags
-from ..obs.events import get_tracer
-from .events import CommEvent, StepTimeline
-from .loggp import LogGPParameters, OpKind
-from .message import CommPattern, Message
+from .loggp import LogGPParameters
+from .message import CommPattern
 from .standard_sim import SimulationResult
 
 __all__ = ["simulate_worstcase", "WorstCaseSimulator"]
-
-
-class _ProcState:
-    __slots__ = ("ctime", "last_kind", "send_queue", "recv_heap", "expected")
-
-    def __init__(self, ctime: float, sends: tuple[Message, ...], expected: int):
-        self.ctime = ctime
-        self.last_kind: Optional[OpKind] = None
-        self.send_queue: deque[Message] = deque(sends)
-        self.recv_heap: list[tuple[float, int, Message]] = []
-        #: messages-to-receive counter (decremented when a source *sends*)
-        self.expected = expected
 
 
 class WorstCaseSimulator:
@@ -84,89 +70,6 @@ def _simulate(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
 ) -> SimulationResult:
-    if _kernel_flags.enabled:
-        from ..kernel.fastsim import simulate_worstcase_fast
+    from ..kernel.fastsim import simulate_worstcase_fast
 
-        return simulate_worstcase_fast(params, pattern, start_times, rng)
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    local = pattern.local_messages()
-
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-    state: dict[int, _ProcState] = {}
-    for p in procs:
-        sends = tuple(m for m in remote if m.src == p)
-        expected = sum(1 for m in remote if m.dst == p)
-        state[p] = _ProcState(starts.get(p, 0.0), sends, expected)
-
-    timeline = StepTimeline(
-        params=params, start_times={p: starts.get(p, 0.0) for p in procs}
-    )
-
-    def do_send(proc: int) -> None:
-        st = state[proc]
-        msg = st.send_queue.popleft()
-        start = params.earliest_start(st.last_kind, st.ctime, OpKind.SEND)
-        duration = params.send_duration(msg.size)
-        timeline.add(CommEvent(proc, OpKind.SEND, start, duration, msg))
-        st.ctime = start + duration
-        st.last_kind = OpKind.SEND
-        arrival = start + duration + params.L
-        dst = state[msg.dst]
-        heapq.heappush(dst.recv_heap, (arrival, msg.uid, msg))
-        dst.expected -= 1
-
-    def do_recv(proc: int) -> None:
-        st = state[proc]
-        arrival, _, msg = heapq.heappop(st.recv_heap)
-        earliest = params.earliest_start(st.last_kind, st.ctime, OpKind.RECV)
-        start = max(arrival, earliest)
-        duration = params.recv_duration(msg.size)
-        timeline.add(CommEvent(proc, OpKind.RECV, start, duration, msg, arrival=arrival))
-        st.ctime = start + duration
-        st.last_kind = OpKind.RECV
-
-    while any(state[p].send_queue for p in procs):
-        # A processor may transmit once it expects no more messages *and*
-        # has actually performed every receive.
-        ready = [
-            p
-            for p in procs
-            if state[p].send_queue
-            and state[p].expected == 0
-            and not state[p].recv_heap
-        ]
-        if not ready:
-            # Either a cycle (true deadlock) or receives still pending this
-            # round; first let pending receives complete, then force-break.
-            receivers = [p for p in procs if state[p].recv_heap]
-            if receivers:
-                for p in receivers:
-                    while state[p].recv_heap:
-                        do_recv(p)
-                continue
-            blocked = [p for p in procs if state[p].send_queue]
-            victim = blocked[0] if len(blocked) == 1 else int(rng.choice(blocked))
-            do_send(victim)  # random forced transmission breaks the cycle
-            continue
-
-        # Part 1 of the round: every ready processor sends all its messages.
-        for p in ready:
-            while state[p].send_queue:
-                do_send(p)
-        # Part 2: destinations perform the corresponding receives.
-        for p in procs:
-            while state[p].recv_heap:
-                do_recv(p)
-
-    # Drain any receives left over from the final round of sends.
-    for p in procs:
-        while state[p].recv_heap:
-            do_recv(p)
-
-    ctimes = {p: state[p].ctime for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.worstcase")
-        tracer.emit_comm_step(timeline, ctimes, algo="worstcase")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    return simulate_worstcase_fast(params, pattern, start_times, rng)

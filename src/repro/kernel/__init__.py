@@ -1,65 +1,61 @@
-"""The opt-in fast simulation kernel.
+"""The simulation kernel: the engine every prediction runs on.
 
-Everything under :mod:`repro.kernel` is a *performance twin* of a
-reference implementation elsewhere in the package: same inputs, same
-outputs bit for bit, less interpreter overhead.  The hot modules
-(:mod:`repro.core.standard_sim`, :mod:`repro.core.worstcase_sim`,
-:mod:`repro.core.des_check`, :mod:`repro.core.program_sim`,
-:mod:`repro.machine.emulator`, :mod:`repro.core.predictor`) dispatch
-here when :data:`repro.kernel.flags.enabled` is set — via ``REPRO_FAST=1``
-in the environment or :func:`fast_path` / :func:`set_enabled` in code.
+The public simulators (:func:`repro.core.standard_sim.simulate_standard`,
+:func:`repro.core.worstcase_sim.simulate_worstcase`,
+:func:`repro.core.des_check.simulate_causal`) and the pipelines above
+them (:mod:`repro.core.program_sim`, :mod:`repro.machine.emulator`,
+:mod:`repro.core.predictor`, :mod:`repro.sweep`) all run here.  The
+kernel computes exactly what the paper's algorithms specify, with the
+interpreter overhead taken out: tight loops instead of per-operation
+objects, a flat event slab instead of DES coroutines, memoised pure cost
+functions, and a structure-of-arrays batch simulator for sweep grids.
 
-Bit-identity is not an aspiration but a gate: the differential oracle
-(``tests/test_kernel_differential.py``) and the hypothesis property
-suite (``tests/test_kernel_property.py``) compare the fast and reference
-paths event-by-event on every application, layout and engine, and the
-sweep/UQ digests with the fast path on must equal the checked-in
-reference digests.  ``benchmarks/bench_kernel.py`` records the resulting
-steady-state throughput into ``BENCH_kernel.json`` for the CI guard.
+Bit-identity is not an aspiration but a gate.  The readable reference
+simulators — the clearest transcription of Figure 2, section 4.2 and the
+causal model — live under ``tests/oracle.py`` as the specification; the
+differential oracle (``tests/test_kernel_differential.py``) and the
+hypothesis suites (``tests/test_kernel_property.py``,
+``tests/test_vector_property.py``) compare the kernel against them
+event by event on every application, layout and engine, and the
+sweep/UQ digests must equal the checked-in golden digests.
+
+Nothing is cached across calls except the small, fingerprint-keyed cost
+memos: a GE trace (~12 MB at n=480, b=10) and its compiled plan are
+built per call and shared only by the lanes of that call.
 
 Submodules
 ----------
-flags
-    The global switch (leaf module; safe to import from hot paths).
 memo
     Fingerprint-keyed memoisation of pure cost functions.
 fastsim
-    Tight-loop twins of the two Figure 2-style step simulators.
+    The two Figure 2-style step simulators.
 fastdes
-    Flat-heap, sequence-exact twin of the causal DES cross-check.
+    Flat-heap, sequence-exact replay of the causal DES model.
 tracecache
-    Shared GE program traces for sweep/UQ replicates.
+    The GE program trace of one sweep configuration.
 vector
     Structure-of-arrays batch simulator: many sweep points per step.
 
-``fastsim``/``fastdes``/``tracecache``/``vector`` import the modules they twin, so
-this ``__init__`` loads them lazily — the hot modules can import
+``fastsim``/``fastdes``/``tracecache``/``vector`` import the modules they
+serve, so this ``__init__`` loads them lazily — those modules can import
 ``repro.kernel`` at module scope without a cycle.
 """
 
 from __future__ import annotations
 
-from . import flags
-from .flags import fast_path, is_enabled, set_enabled
 from .memo import MemoizedCostModel, clear_caches, memoize, send_durations
 
 __all__ = [
-    "flags",
-    "fast_path",
-    "is_enabled",
-    "set_enabled",
     "MemoizedCostModel",
     "memoize",
     "send_durations",
     "clear_caches",
     "clear_all_caches",
     "ge_trace",
-    "clear_trace_cache",
     "simulate_standard_fast",
     "simulate_worstcase_fast",
     "simulate_causal_fast",
     "ge_plan",
-    "clear_plan_cache",
     "compile_plan",
     "simulate_programs_batch",
     "evaluate_ge_points_batch",
@@ -67,12 +63,10 @@ __all__ = [
 
 _LAZY = {
     "ge_trace": "tracecache",
-    "clear_trace_cache": "tracecache",
     "simulate_standard_fast": "fastsim",
     "simulate_worstcase_fast": "fastsim",
     "simulate_causal_fast": "fastdes",
     "ge_plan": "vector",
-    "clear_plan_cache": "vector",
     "compile_plan": "vector",
     "simulate_programs_batch": "vector",
     "evaluate_ge_points_batch": "vector",
@@ -91,13 +85,5 @@ def __getattr__(name: str):
 
 
 def clear_all_caches() -> None:
-    """Reset every kernel cache (cost memos, send tables, traces, plans)."""
+    """Reset every kernel cache (cost memos, send tables, point costs)."""
     clear_caches()
-    import sys
-
-    tracecache = sys.modules.get(f"{__name__}.tracecache")
-    if tracecache is not None:
-        tracecache.clear_trace_cache()
-    vector = sys.modules.get(f"{__name__}.vector")
-    if vector is not None:
-        vector.clear_plan_cache()

@@ -1,9 +1,10 @@
 """Flat-heap causal simulator: the DES cross-check without coroutines.
 
-:func:`repro.core.des_check.simulate_causal` runs one generator coroutine
-per processor on :class:`repro.des.Environment`.  Each simulated action
-costs several kernel :class:`~repro.des.Event` allocations, callback
-lists, and generator suspensions — ~13 µs per event, all interpreter
+The reference causal model (``simulate_causal_reference`` in
+``tests/oracle.py``) runs one generator coroutine per processor on
+:class:`repro.des.Environment`.  Each simulated action costs several
+kernel :class:`~repro.des.Event` allocations, callback lists, and
+generator suspensions — ~13 µs per event, all interpreter
 overhead.  This module replays the *same computation* as a flat state
 machine over plain tuples: the event slab.
 
@@ -11,7 +12,7 @@ Equivalence is sequence-exact, not merely value-exact.  The reference
 engine orders same-time events by a global creation counter, and the
 machine emulator's jittered network draws latencies from one shared RNG
 in send-completion order — so any reordering of equal-time pops would
-change numeric results.  The fast path therefore allocates its sequence
+change numeric results.  The kernel therefore allocates its sequence
 numbers at exactly the moments the reference engine calls
 ``Environment._schedule``:
 
@@ -86,7 +87,7 @@ def simulate_causal_fast(
     start_times: Optional[Mapping[int, float]] = None,
     latency_of=None,
 ) -> SimulationResult:
-    """Flat-heap replay of :func:`repro.core.des_check.simulate_causal`."""
+    """Flat-heap replay of the causal model (:mod:`repro.core.des_check`)."""
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
     starts = dict(start_times or {})

@@ -1,8 +1,8 @@
 """Fast step simulators: bit-identical tight-loop rewrites of Figure 2 & §4.2.
 
-These functions compute exactly what
-:func:`repro.core.standard_sim._simulate` and
-:func:`repro.core.worstcase_sim._simulate` compute — same
+These functions compute exactly what the reference transcriptions of
+the two algorithms (``simulate_standard_reference`` and
+``simulate_worstcase_reference`` in ``tests/oracle.py``) compute — same
 :class:`CommEvent` stream in the same global order, same final clocks,
 same RNG consumption — but with the per-operation overhead removed:
 

@@ -4,10 +4,10 @@ Two caches, both keyed by canonical machine identity
 (:mod:`repro.core.fingerprint`):
 
 * **Basic-op costs.**  ``cost(op, b)`` of every deterministic cost model
-  is a pure function of ``(op, b, model fingerprint)``.
+  is a pure function of ``(op, b, model class, model fingerprint)``.
   :func:`memoize` wraps a model in a :class:`MemoizedCostModel` sharing
-  one process-wide dict per fingerprint; a model that cannot be
-  fingerprinted (``cost_model_fingerprint(...) is None``, e.g. a
+  one process-wide dict per (class, fingerprint); a model that cannot
+  be fingerprinted (``cost_model_fingerprint(...) is None``, e.g. a
   host-timed ``MeasuredCostModel``) is returned unwrapped — *bypass*,
   never a wrong hit.
 * **LogGP send durations.**  ``o + (size-1)*G`` per message size, keyed
@@ -48,8 +48,8 @@ __all__ = [
     "clear_cost_observations",
 ]
 
-#: per-fingerprint (op, b) -> us buckets
-_COST_CACHES: dict[str, dict[tuple[str, int], float]] = {}
+#: per-(model class, fingerprint) (op, b) -> us buckets
+_COST_CACHES: dict[tuple[type, str], dict[tuple[str, int], float]] = {}
 #: per-(L, o, g, G) size -> send-duration tables
 _SEND_TABLES: dict[tuple[float, float, float, float], dict[int, float]] = {}
 
@@ -100,11 +100,15 @@ def memoize(cost_model):
     fp = cost_model_fingerprint(cost_model)
     if fp is None:
         return cost_model
-    cache = _COST_CACHES.get(fp)
+    # The class is part of the key: a subclass may keep its parent's
+    # fingerprint (same table) yet override ``cost`` — it must not be
+    # served prices its parent cached.
+    key = (type(cost_model), fp)
+    cache = _COST_CACHES.get(key)
     if cache is None:
         if len(_COST_CACHES) >= _MAX_BUCKETS:
             _COST_CACHES.clear()
-        cache = _COST_CACHES[fp] = {}
+        cache = _COST_CACHES[key] = {}
     return MemoizedCostModel(cost_model, cache)
 
 

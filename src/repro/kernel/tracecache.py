@@ -1,61 +1,28 @@
-"""Steady-state trace cache for the GE sweep hot path.
+"""The GE program trace of one sweep configuration.
 
-Every sweep / UQ replicate of one ``(n, b, layout, P)`` configuration
-rebuilds the identical GE program trace — identical *bit for bit*,
-because :class:`repro.core.message.CommPattern` allocates message uids
-from a per-pattern counter, so a rebuild reproduces every uid and seq.
-Rebuilding costs tens of milliseconds per point; a 200-replicate UQ run
-pays it 200 times for the same object.
+:func:`ge_trace` builds the trace of one ``(n, b, layout, P)``
+configuration on every call.  Nothing is kept across calls: at n=480,
+b=10 a trace is ~12 MB, and a process that cached a few dozen of them
+held several times the memory of the simulation itself.  Callers that
+evaluate many points of one configuration share a trace *within* a call
+instead — :func:`repro.kernel.vector.evaluate_ge_points_batch` groups
+its lanes by configuration and builds each group's trace once.
 
-This cache shares one immutable-in-practice trace per configuration
-(LRU, small: a paper-scale study touches tens of configurations).  The
-simulators and the emulator only *read* traces, so sharing is safe; the
-differential harness proves the cached path bit-identical anyway.  The
-bookkeeping is lock-guarded so the thread executor's workers can share
-one table (a racing rebuild would be bit-identical, but the OrderedDict
-reordering itself is not thread-safe).
+Rebuilds are bit-identical (:class:`repro.core.message.CommPattern`
+allocates message uids from a per-pattern counter), so sharing or not
+sharing a trace never changes a result.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 from ..apps.gauss import GEConfig, build_ge_trace
 from ..layouts import LAYOUTS
 from ..trace.program import ProgramTrace
 
-__all__ = ["ge_trace", "clear_trace_cache"]
-
-_CACHE: OrderedDict[tuple[int, int, str, int], ProgramTrace] = OrderedDict()
-_LOCK = threading.Lock()
-_MAX_TRACES = 32
+__all__ = ["ge_trace"]
 
 
 def ge_trace(n: int, b: int, layout_name: str, P: int) -> ProgramTrace:
-    """The (shared) GE trace of one configuration.  Thread-safe."""
-    key = (n, b, layout_name, P)
-    with _LOCK:
-        trace = _CACHE.get(key)
-        if trace is not None:
-            _CACHE.move_to_end(key)
-            return trace
-    # Build outside the lock: rebuilds are bit-identical, so a race
-    # costs a redundant build, never a wrong trace.
+    """The GE trace of one configuration, freshly built."""
     layout = LAYOUTS[layout_name](n // b, P)
-    trace = build_ge_trace(GEConfig(n=n, b=b, layout=layout))
-    with _LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _CACHE.move_to_end(key)
-            return cached
-        _CACHE[key] = trace
-        while len(_CACHE) > _MAX_TRACES:
-            _CACHE.popitem(last=False)
-    return trace
-
-
-def clear_trace_cache() -> None:
-    """Drop every cached trace."""
-    with _LOCK:
-        _CACHE.clear()
+    return build_ge_trace(GEConfig(n=n, b=b, layout=layout))

@@ -33,15 +33,13 @@ and the differential oracle):
   makes the unconditional vector add bit-equal to the reference's
   ``if t:``-guarded add (``x + 0.0 == x`` for ``x >= 0.0``).
 
-The batch path is registered behind the existing :func:`fast_path` gate
-and steps aside whenever the ambient tracer is enabled — the traced
-scalar path stays the single source of the event stream, so PR 6's
-bit-exact trace exports are untouched.
+The batch path steps aside whenever the ambient tracer is enabled — the
+traced per-step path stays the single source of the event stream, so
+the bit-exact trace exports are untouched.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Optional, Sequence
 
@@ -61,7 +59,6 @@ __all__ = [
     "ProgramPlan",
     "compile_plan",
     "ge_plan",
-    "clear_plan_cache",
     "simulate_programs_batch",
     "evaluate_ge_points_batch",
 ]
@@ -101,7 +98,7 @@ class ProgramPlan:
     """A :class:`ProgramTrace` compiled for batch evaluation.
 
     The plan is read-only and shared: one compilation serves every lane
-    of every batch over the same trace.  ``op_table`` holds the distinct
+    of a batch over the same trace.  ``op_table`` holds the distinct
     ``(op, b)`` pairs the program prices; each step's work is an index
     array into a per-lane cost vector built from that table, so the
     computation phase becomes one gather + one sequential fold per
@@ -152,38 +149,14 @@ def compile_plan(trace: ProgramTrace) -> ProgramPlan:
     return ProgramPlan(trace)
 
 
-#: compiled-plan LRU for GE configurations (mirrors the trace cache; the
-#: plan pins its trace so the two caches cannot go out of sync)
-_PLANS: OrderedDict[tuple[int, int, str, int], ProgramPlan] = OrderedDict()
-_PLANS_LOCK = threading.Lock()
-_MAX_PLANS = 32
-
-
 def ge_plan(n: int, b: int, layout_name: str, P: int) -> ProgramPlan:
-    """The (shared) compiled plan of one GE configuration.
+    """The compiled plan of one GE configuration, built on every call.
 
-    Thread-safe: sweep worker threads share one plan per configuration
-    the same way they share the GE trace cache.
+    Nothing is cached across calls (see :mod:`repro.kernel.tracecache`):
+    one batch call compiles one plan per configuration and every lane of
+    that configuration shares it.
     """
-    key = (n, b, layout_name, P)
-    with _PLANS_LOCK:
-        plan = _PLANS.get(key)
-        if plan is not None:
-            _PLANS.move_to_end(key)
-            return plan
-    trace = ge_trace(n, b, layout_name, P)
-    plan = ProgramPlan(trace)
-    with _PLANS_LOCK:
-        _PLANS[key] = plan
-        while len(_PLANS) > _MAX_PLANS:
-            _PLANS.popitem(last=False)
-    return plan
-
-
-def clear_plan_cache() -> None:
-    """Drop every compiled plan (tests and long-lived processes)."""
-    with _PLANS_LOCK:
-        _PLANS.clear()
+    return ProgramPlan(ge_trace(n, b, layout_name, P))
 
 
 def _lane_cost_table(cost_model, op_table) -> list[float]:
@@ -384,4 +357,7 @@ def evaluate_ge_points_batch(
                 measured=measured,
             )
             out[pos] = _flatten_ge_row(row, point.seed)
+        # release this configuration's trace before the next is built, so
+        # at most one is alive at a time
+        del plan
     return out  # type: ignore[return-value]

@@ -42,7 +42,7 @@ from ..blockops.calibration import (
 from ..core.costmodel import CostModel
 from ..core.des_check import simulate_causal
 from ..core.loggp import LogGPParameters
-from ..kernel import flags as _kernel_flags
+from ..kernel.memo import memoize
 from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .cache import BlockCache
@@ -180,14 +180,10 @@ class MachineEmulator:
         # the two slice categories this loop emits, hoisted out of it
         traced = tracer.enabled and tracer.wants("compute")
         traced_copy = tracer.enabled and tracer.wants("local_copy")
-        cost_model = self.cost_model
-        if _kernel_flags.enabled:
-            # Safe under timing noise: NodeCPU draws its noise factor
-            # separately and multiplies the (pure) cost — so memoising the
-            # cost changes nothing, including the RNG stream.
-            from ..kernel.memo import memoize
-
-            cost_model = memoize(cost_model)
+        # Safe under timing noise: NodeCPU draws its noise factor
+        # separately and multiplies the (pure) cost — so memoising the
+        # cost changes nothing, including the RNG stream.
+        cost_model = memoize(self.cost_model)
         owned = trace.blocks_by_proc()
         cpus: dict[int, NodeCPU] = {}
         for p in range(trace.num_procs):

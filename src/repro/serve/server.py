@@ -585,6 +585,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
     service: PredictionService
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body leave in separate sends, and with
+    #: Nagle on the body waits for the client's delayed ACK — ~40 ms per
+    #: response on a kept-alive connection
+    disable_nagle_algorithm = True
 
     def _reply(self, code: int, doc: dict) -> None:
         body = json.dumps(doc).encode()

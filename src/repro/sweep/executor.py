@@ -13,11 +13,11 @@ model of the sweep itself and *predicts* the best strategy:
     Evaluate in-process through the vectorized batch kernel.  Zero
     dispatch overhead; always the floor the others must beat.
 ``thread``
-    A thread pool sharing the process's GE trace cache, compiled plans
-    and cost memos.  Python's GIL serialises the simulation bytecode,
-    so threads mostly overlap the store's file I/O and advisory-lock
-    waits — worthwhile for store-backed grids of cheap points, where
-    process spawn costs more than the whole grid.
+    A thread pool sharing the process's cost memos.  Python's GIL
+    serialises the simulation bytecode, so threads mostly overlap the
+    store's file I/O and advisory-lock waits — worthwhile for
+    store-backed grids of cheap points, where process spawn costs more
+    than the whole grid.
 ``process``
     The classic pool: linear CPU scaling for grids whose estimated
     serial time clearly exceeds spawn+pickle overhead.
@@ -252,7 +252,7 @@ def decide_executor(
     if store_attached and not traced:
         # Mid-band: compute is GIL-bound either way, but threads overlap
         # the store's file writes and advisory-lock waits at zero spawn
-        # cost, sharing the trace/plan/memo caches.
+        # cost, sharing the cost memos.
         return ExecutorDecision(
             executor="thread", requested=requested, workers=pool_workers,
             reason=(

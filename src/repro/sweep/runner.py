@@ -8,7 +8,7 @@ runner executes the same grid across ``workers`` processes:
   predicts the grid's serial cost from the memo layer's calibrated
   point-cost model (probing one point when cold), measures the pool
   spawn overhead once, and picks vectorized-serial, a thread pool
-  (shared trace/plan/memo caches), or the process pool — recording the
+  (shared cost memos), or the process pool — recording the
   decision in the stats (hence the run manifest) and a ``sweep.decide``
   span.  See :mod:`repro.sweep.executor`.
 * **Chunked scheduling.**  Pending points are split into contiguous
@@ -46,7 +46,6 @@ from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
 from ..core.predictor import summarize_ge_point, summarize_uq_point
 from ..experiments import ExperimentStore, PointSummary
-from ..kernel import flags as _kernel_flags
 from ..kernel.memo import observe_point_cost, point_weight
 from ..obs import TraceConfig, TraceContext, Tracer, get_tracer, tracing
 from ..obs.telemetry import write_shard
@@ -158,6 +157,27 @@ def _evaluate_point(
     )
 
 
+def _evaluate_chunk(
+    indexed: list[tuple[int, SweepPoint]],
+    params: LogGPParameters,
+    cost_model: CostModel,
+    store: Optional[ExperimentStore],
+    uq: Optional[UQSpec],
+) -> list[tuple[int, PointSummary]]:
+    """``(index, summary)`` pairs of one untraced chunk.
+
+    The whole chunk goes through the SoA batch evaluator, same as the
+    serial batch branch — per-point width-1 lanes would forfeit the
+    kernel's cross-point win.
+    """
+    collected: list[tuple[int, PointSummary]] = []
+    _evaluate_pending_batch(
+        indexed, params, cost_model, store, uq,
+        lambda idx, point, summary: collected.append((idx, summary)),
+    )
+    return collected
+
+
 def _run_chunk(payload):
     """Worker entrypoint: evaluate one chunk of (index, point) pairs.
 
@@ -184,12 +204,8 @@ def _run_chunk(payload):
     later :func:`repro.obs.merge_shards` sees each event and each
     counter exactly once.
     """
-    (store_dir, params, cost_model, uq, fast, trace_doc,
+    (store_dir, params, cost_model, uq, trace_doc,
      ctx_doc, shard_path, chunk_no, indexed) = payload
-    # A spawn-context worker does not inherit a parent's set_enabled(), so
-    # the flag travels in the payload (proven result-neutral by the
-    # differential harness, but the dispatch must still be consistent).
-    _kernel_flags.set_enabled(fast)
     store = (
         ExperimentStore(
             store_dir, params, cost_model,
@@ -199,20 +215,7 @@ def _run_chunk(payload):
         else None
     )
     if trace_doc is None:
-        if fast:
-            # Untraced + fast: run the whole chunk through the SoA batch
-            # evaluator, same as the serial fast branch — per-point width-1
-            # lanes would forfeit the kernel's cross-point win.
-            collected: list = []
-            _evaluate_pending_batch(
-                indexed, params, cost_model, store, uq,
-                lambda idx, point, summary: collected.append((idx, summary)),
-            )
-            return chunk_no, collected, None, None
-        results = [
-            (idx, _evaluate_point(point, params, cost_model, store, uq))
-            for idx, point in indexed
-        ]
+        results = _evaluate_chunk(indexed, params, cost_model, store, uq)
         return chunk_no, results, None, None
     tracer = Tracer(config=TraceConfig.from_dict(trace_doc))
     parent_ctx = TraceContext.from_dict(ctx_doc) if ctx_doc else None
@@ -308,8 +311,8 @@ def _evaluate_pending_batch(
     :func:`repro.kernel.vector.evaluate_ge_points_batch`, so replicate
     lanes sharing a configuration advance in lockstep over one compiled
     plan.  Results are emitted in pending order, and the measured wall
-    time calibrates the executor's point-cost model.  Untraced + fast
-    path only.  Returns the number of batch calls made (chunk count).
+    time calibrates the executor's point-cost model.  Untraced sweeps
+    only.  Returns the number of batch calls made (chunk count).
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
@@ -530,7 +533,7 @@ def run_sweep(
             tracer.count(f"sweep.decision.{decision.executor}")
 
     if pending and decision.executor == "serial":
-        if _kernel_flags.enabled and not tracer.enabled and executor is not None:
+        if not tracer.enabled and executor is not None:
             n_chunks = _evaluate_pending_batch(
                 pending, params, cost_model, store, uq, finish_point
             )
@@ -547,7 +550,7 @@ def run_sweep(
             n_chunks = len(pending)
     elif pending and decision.executor == "thread":
         # Same chunking as the process pool, but the workers share this
-        # process's trace/plan/memo caches and store handle; results are
+        # process's cost memos and store handle; results are
         # applied on the main thread, so ordering logic is unchanged.
         if chunk_size:
             chunks = list(_chunked(pending, chunk_size))
@@ -555,22 +558,11 @@ def run_sweep(
             chunks = _weight_chunks(pending, decision.workers * 4)
         n_chunks = len(chunks)
         index_of = dict(pending)
-
-        def _thread_chunk(chunk):
-            if _kernel_flags.enabled:
-                collected: list = []
-                _evaluate_pending_batch(
-                    chunk, params, cost_model, store, uq,
-                    lambda idx, point, summary: collected.append((idx, summary)),
-                )
-                return collected
-            return [
-                (idx, _evaluate_point(point, params, cost_model, store, uq))
-                for idx, point in chunk
-            ]
-
         with ThreadPoolExecutor(max_workers=decision.workers) as tpool:
-            futures = [tpool.submit(_thread_chunk, c) for c in chunks]
+            futures = [
+                tpool.submit(_evaluate_chunk, c, params, cost_model, store, uq)
+                for c in chunks
+            ]
             for future in as_completed(futures):
                 for idx, summary in future.result():
                     finish_point(idx, index_of[idx], summary)
@@ -598,8 +590,7 @@ def run_sweep(
             return str(shard_dir / f"shard-chunk-{chunk_no:04d}.jsonl")
 
         payloads = [
-            (store_dir, params, cost_model, uq, _kernel_flags.enabled,
-             trace_doc, ctx_doc, _shard_path(chunk_no), chunk_no, chunk)
+            (store_dir, params, cost_model, uq, trace_doc, ctx_doc, _shard_path(chunk_no), chunk_no, chunk)
             for chunk_no, chunk in enumerate(chunks)
         ]
         n_chunks = len(payloads)

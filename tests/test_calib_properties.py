@@ -11,8 +11,8 @@ The three properties the issue pins:
   log-residual exactly linearly — the property is a construction, not a
   hope.
 * **Digest invariance.**  Replaying a posterior through the UQ engine
-  gives identical digests whatever the worker count and whether the
-  ``REPRO_FAST`` kernel twin is on or off.
+  gives identical digests whatever the worker count, and on the kernel
+  and the reference simulators (``tests/oracle.py``) alike.
 
 Calibrations here use deliberately short chains — the properties are
 about structure (convergence, ordering, invariance), not about posterior
@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 from repro.calib import calibrate_emulator, measure_emulator
 from repro.core import MEIKO_CS2, CalibratedCostModel
-from repro.kernel import fast_path
 from repro.uq import run_uq
 from repro.uq.spec import LOGGP_PARAMS
+
+from .oracle import reference_engine
 
 PARAMS = MEIKO_CS2
 CM = CalibratedCostModel()
@@ -134,8 +135,8 @@ class TestDigestInvariance:
         assert serial.summary_digest() == pooled.summary_digest()
 
     def test_digest_identical_across_repro_fast(self, spec):
-        slow = self.run(spec, workers=1)
-        with fast_path(True):
-            fast = self.run(spec, workers=1)
+        with reference_engine():
+            slow = self.run(spec, workers=1)
+        fast = self.run(spec, workers=1)
         assert slow.replicate_digest() == fast.replicate_digest()
         assert slow.summary_digest() == fast.summary_digest()

@@ -1,10 +1,11 @@
-"""The fast-kernel differential oracle: fast path == reference, bit for bit.
+"""The kernel differential oracle: kernel == reference, bit for bit.
 
-``repro.kernel`` re-implements the three step simulators and memoises the
-pure cost functions; the *only* acceptable difference is wall-clock.
-These tests run every application trace (GE, Cannon, stencil, triangular
-solve) through every engine (standard, worst-case, causal) with the fast
-path off and on, and require:
+``repro.kernel`` implements the three step simulators and memoises the
+pure cost functions; the reference transcriptions of the algorithms live
+in ``tests/oracle.py``, and the *only* acceptable difference between the
+two is wall-clock.  These tests run every application trace (GE, Cannon,
+stencil, triangular solve) through every engine (standard, worst-case,
+causal) on the kernel and on the oracle, and require:
 
 * identical :class:`PredictionReport` numbers — ``repr``-equal floats,
   not approx-equal;
@@ -19,6 +20,8 @@ path off and on, and require:
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -36,12 +39,14 @@ from repro.apps import (
 )
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.predictor import summarize_ge_point
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.layouts import DiagonalLayout, RowStrippedCyclicLayout
 from repro.machine.emulator import MachineEmulator
 from repro.obs import Tracer, tracing
 from repro.sweep import expand_grid, run_sweep
 from repro.uq import UQSpec, run_uq
+
+from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
@@ -85,11 +90,18 @@ TRACE_CASES = _trace_cases()
 TRACE_IDS = [c[0] for c in TRACE_CASES]
 
 
+def _engine(fast, tracer=None):
+    """The kernel (``fast``) or the oracle, for the block it guards."""
+    if fast:
+        return tracing(tracer) if tracer is not None else nullcontext()
+    return reference_engine(tracer)
+
+
 def _predict(trace, params, cost_model, mode, fast):
     """One traced prediction run: (report, tracer event stream reprs)."""
     clear_all_caches()
     tracer = Tracer()
-    with fast_path(fast), tracing(tracer):
+    with _engine(fast, tracer):
         report = ProgramSimulator(params, cost_model, mode=mode, seed=0).run(trace)
     return report, [repr(e) for e in tracer.events]
 
@@ -123,7 +135,7 @@ def test_emulator_bit_identical(trace, params, cost_model):
     def run(fast):
         clear_all_caches()
         tracer = Tracer()
-        with fast_path(fast), tracing(tracer):
+        with _engine(fast, tracer):
             report = MachineEmulator(
                 params=params, cost_model=cost_model, seed=3
             ).run(trace)
@@ -141,10 +153,9 @@ def test_emulator_bit_identical(trace, params, cost_model):
 
 def test_ge_point_summary_bit_identical():
     """The full point pipeline (predictions + emulator) round-trips."""
-    with fast_path(False):
+    with reference_engine():
         ref = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
-    with fast_path(True):
-        fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
+    fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
     assert set(ref) == set(fast)
     for key in ref:
         assert repr(fast[key]) == repr(ref[key]), key
@@ -154,16 +165,18 @@ class TestSweepDigests:
     GRID = expand_grid([120], [20, 30], ["diagonal", "stripped"], seeds=(0,))
 
     def _digest(self, fast, workers):
-        with fast_path(fast):
+        # forked workers inherit the oracle injection
+        with _engine(fast):
             return run_sweep(
-                self.GRID, MEIKO_CS2, CM, workers=workers, store=None
+                self.GRID, MEIKO_CS2, CM, workers=workers, store=None,
+                mp_context="fork",
             ).digest()
 
     def test_single_worker(self):
         assert self._digest(True, 1) == self._digest(False, 1)
 
     def test_two_workers(self):
-        """The flag travels into spawned workers; results stay bit-equal."""
+        """Pool workers compute the reference results bit for bit."""
         ref = self._digest(False, 1)
         assert self._digest(True, 2) == ref
         assert self._digest(False, 2) == ref
@@ -173,7 +186,7 @@ class TestUQDigests:
     SPEC = UQSpec(sigma=0.05, op_sigma=0.03, jitter_sigma=0.1)
 
     def _run(self, fast):
-        with fast_path(fast):
+        with _engine(fast):
             result = run_uq(
                 [120], [30], ["diagonal"], MEIKO_CS2, CM,
                 spec=self.SPEC, replicates=3,
@@ -212,7 +225,7 @@ class TestBatchLanes:
         for (lane_params, _), seed, reports in zip(lanes, self.SEEDS, batch):
             for mode in GE_MODES:
                 clear_all_caches()
-                with fast_path(False):
+                with reference_engine():
                     ref = ProgramSimulator(
                         lane_params, cost_model, mode=mode, seed=seed
                     ).run(trace)
@@ -226,19 +239,18 @@ class TestBatchLanes:
 
 
 class TestExecutorDigests:
-    """Every executor strategy agrees with the fast-off serial reference."""
+    """Every executor strategy agrees with the serial reference."""
 
     GRID = expand_grid([120], [20, 30], ["diagonal", "stripped"], seeds=(0,))
 
     def test_all_executors_match_reference(self):
-        with fast_path(False):
+        with reference_engine():
             ref = run_sweep(self.GRID, MEIKO_CS2, CM, workers=1).digest()
         for executor in ("serial", "thread", "process", "auto"):
             clear_all_caches()
-            with fast_path(True):
-                result = run_sweep(
-                    self.GRID, MEIKO_CS2, CM, executor=executor, workers=2
-                )
+            result = run_sweep(
+                self.GRID, MEIKO_CS2, CM, executor=executor, workers=2
+            )
             assert result.digest() == ref, executor
 
     def test_uq_executor_matches_reference(self):
@@ -246,7 +258,7 @@ class TestExecutorDigests:
 
         def run(fast, executor):
             clear_all_caches()
-            with fast_path(fast):
+            with _engine(fast):
                 r = run_uq(
                     [120], [30], ["diagonal"], MEIKO_CS2, CM,
                     spec=spec, replicates=3, executor=executor,

@@ -11,15 +11,19 @@ process must not see each other's costs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.costmodel import FlopCostModel, TableCostModel
-from repro.kernel import clear_all_caches, fast_path, memoize, send_durations
+from repro.kernel import clear_all_caches, memoize, send_durations
 from repro.kernel.memo import _COST_CACHES, _SEND_TABLES, MemoizedCostModel
 from repro.machine.perturbed import PerturbedMachine, ScaledCostModel
 from repro.trace import TraceBuilder
 from repro.uq import UQSpec
+
+from .oracle import reference_engine
 
 
 class CountingModel:
@@ -82,6 +86,29 @@ def test_invalid_inputs_raise_like_the_base():
     m = memoize(TableCostModel({"op1": {16: 3.0}}))
     with pytest.raises(ValueError):
         m.cost("nope", 16)
+
+
+def test_same_fingerprint_subclass_gets_its_own_bucket():
+    """A subclass that keeps its parent's fingerprint but overrides
+    ``cost`` must still be called: it is not served the parent's prices."""
+
+    class Doubling(CalibratedCostModel):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def cost(self, op, b):
+            self.calls += 1
+            return 2.0 * super().cost(op, b)
+
+    clean = CalibratedCostModel()
+    sub = Doubling()
+    assert sub.fingerprint() == clean.fingerprint()
+    price = memoize(clean).cost("op1", 16)
+    got = memoize(sub).cost("op1", 16)
+    assert sub.calls == 1
+    assert got == 2.0 * price
+    assert memoize(sub)._cache is not memoize(clean)._cache
 
 
 # -- bypass ------------------------------------------------------------------
@@ -161,9 +188,9 @@ def _tiny_trace():
 def test_two_uq_replicates_in_one_process_stay_bit_exact():
     """Replicates sharing a worker process must not cross-contaminate.
 
-    Evaluate replicate A then replicate B with the fast path on (warm
-    caches from each other), and compare each against its own fresh-
-    process-equivalent run (cold caches, fast path off).  A stale hit —
+    Evaluate replicate A then replicate B on the kernel (warm caches
+    from each other), and compare each against its own fresh-
+    process-equivalent run (cold caches, reference simulators).  A stale hit —
     replicate B receiving replicate A's scaled costs — would show up as
     a numeric difference here.
     """
@@ -173,7 +200,7 @@ def test_two_uq_replicates_in_one_process_stay_bit_exact():
 
     def run(seed, fast):
         params, cm = machine.sample(seed)
-        with fast_path(fast):
+        with nullcontext() if fast else reference_engine():
             report = ProgramSimulator(params, cm, mode="standard", seed=0).run(trace)
         return repr(report.total_us), repr(report.per_proc_comp_us)
 

@@ -1,13 +1,13 @@
-"""Property-based differential testing of the fast kernel.
+"""Property-based differential testing of the kernel.
 
-The differential oracle pins the fast path on the four *real*
+The differential oracle pins the kernel on the four *real*
 application traces; this suite closes the gap between "the apps we
 ship" and "programs the simulators accept".  Hypothesis generates small
 random oblivious programs through :class:`repro.trace.TraceBuilder` —
 arbitrary work assignments, arbitrary message patterns (fan-in, fan-out,
 self-messages, idle processors, empty steps) — and every one must
-simulate bit-identically with the fast path on and off, under all three
-engines.
+simulate bit-identically on the kernel and on the reference simulators
+(``tests/oracle.py``), under all three engines.
 
 Random programs are much better than the apps at exercising the
 tie-breaking RNG (apps are too regular to tie often) and the worst-case
@@ -16,13 +16,17 @@ algorithm's deadlock-breaking branch.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockops import OP_NAMES
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.trace import TraceBuilder
+
+from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
@@ -63,7 +67,7 @@ def _build(spec):
 
 def _run(trace, mode, fast, seed):
     clear_all_caches()
-    with fast_path(fast):
+    with nullcontext() if fast else reference_engine():
         report = ProgramSimulator(MEIKO_CS2, CM, mode=mode, seed=seed).run(trace)
     return (
         repr(report.total_us),
@@ -76,12 +80,12 @@ def _run(trace, mode, fast, seed):
 @settings(max_examples=60, deadline=None)
 @given(spec=_program, seed=st.integers(min_value=0, max_value=7))
 def test_random_programs_bit_identical(spec, seed):
-    """Any small program, any engine, any tie-break seed: fast == reference."""
+    """Any small program, any engine, any tie-break seed: kernel == reference."""
     trace = _build(spec)
     for mode in MODES:
         ref = _run(trace, mode, fast=False, seed=seed)
         fast = _run(trace, mode, fast=True, seed=seed)
-        assert fast == ref, f"fast/reference divergence in mode {mode!r}"
+        assert fast == ref, f"kernel/reference divergence in mode {mode!r}"
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CommPattern, Message
 
@@ -130,6 +132,23 @@ class TestGraphAnalysis:
     def test_self_loop_not_counted_by_default(self):
         pat = CommPattern(3, edges=[(0, 0), (0, 1)])
         assert not pat.has_cycle()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_procs=st.integers(min_value=1, max_value=7),
+        edges=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14
+        ),
+    )
+    def test_has_cycle_agrees_with_networkx(self, num_procs, edges):
+        """Random multigraphs (self-loops, parallel edges, isolated
+        processors): the topological sort agrees with networkx."""
+        pat = CommPattern(
+            num_procs, edges=[(s % num_procs, d % num_procs) for s, d in edges]
+        )
+        assert pat.has_cycle() == (
+            not nx.is_directed_acyclic_graph(pat.to_networkx())
+        )
 
     def test_to_networkx_structure(self):
         pat = CommPattern(3, edges=[(0, 1, 10), (0, 1, 20), (2, 2, 5)])

@@ -46,6 +46,9 @@ class _Channel:
     def sendall(self, data):
         self.wf.write(data)
 
+    def setsockopt(self, *args):  # TCP_NODELAY: nothing to delay in memory
+        pass
+
 
 def http_raw(service, method: str, path: str, body=None):
     """One request through the live handler; returns (status, headers, body)."""

@@ -47,6 +47,9 @@ class _Channel:
     def sendall(self, data):  # unbuffered wfile writes go through here
         self.wf.write(data)
 
+    def setsockopt(self, *args):  # TCP_NODELAY: nothing to delay in memory
+        pass
+
 
 def http(service, method: str, path: str, body=None):
     """One request through the live handler class; returns (status, doc)."""

@@ -3,8 +3,9 @@
 Three properties pin the executor:
 
 1. **Bit-identity.**  Every strategy — serial, thread, process, auto —
-   must produce the same ``results_sha256`` digest as the legacy serial
-   reference; strategies differ in wall time only.
+   must produce the same ``results_sha256`` digest as a legacy serial
+   sweep on the reference simulators (``tests/oracle.py``); strategies
+   differ in wall time only.
 2. **The 0.87x regression stays fixed.**  On a single-CPU host the auto
    executor must resolve to serial — the exact configuration in which
    the process pool once recorded 0.87x of serial — taking the same
@@ -24,7 +25,7 @@ import pytest
 
 from repro.core import CalibratedCostModel, MEIKO_CS2
 from repro.experiments import ExperimentStore
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.kernel.memo import (
     clear_cost_observations,
     estimate_point_cost,
@@ -33,6 +34,8 @@ from repro.kernel.memo import (
 from repro.sweep import ExecutorDecision, decide_executor, expand_grid, run_sweep
 from repro.sweep import executor as executor_mod
 from repro.sweep import runner as runner_mod
+
+from .oracle import reference_engine
 
 PARAMS = MEIKO_CS2
 CM = CalibratedCostModel()
@@ -71,14 +74,21 @@ def _clean_state(monkeypatch):
 
 
 def _digest(**kwargs):
-    with fast_path(True):
-        return run_sweep(GRID, PARAMS, CM, **kwargs)
+    return run_sweep(GRID, PARAMS, CM, **kwargs)
+
+
+def _reference():
+    """The legacy serial sweep on the reference simulators."""
+    with reference_engine():
+        result = _digest(workers=1)
+    clear_all_caches()
+    return result
 
 
 class TestDigestsAcrossExecutors:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_results_sha256_matches_legacy_serial(self, executor):
-        reference = _digest(workers=1)
+        reference = _reference()
         clear_all_caches()
         result = _digest(executor=executor, workers=2)
         assert result.digest() == reference.digest()
@@ -88,7 +98,7 @@ class TestDigestsAcrossExecutors:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_store_backed_digest_and_resume(self, executor, tmp_path):
-        reference = _digest(workers=1)
+        reference = _reference()
         clear_all_caches()
         first = _digest(executor=executor, workers=2, store=tmp_path)
         assert first.digest() == reference.digest()
@@ -119,16 +129,15 @@ class TestDigestsAcrossExecutors:
 class TestCrashMidChunkResume:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_resume_completes_and_matches_cold(self, executor, tmp_path):
-        reference = _digest(workers=1)
+        reference = _reference()
         boom = ExplodingCostModel()
         clear_all_caches()
-        with fast_path(True):
-            with pytest.raises(RuntimeError, match="boom"):
-                run_sweep(
-                    GRID, PARAMS, boom,
-                    executor=executor, workers=2, chunk_size=1,
-                    store=tmp_path,
-                )
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep(
+                GRID, PARAMS, boom,
+                executor=executor, workers=2, chunk_size=1,
+                store=tmp_path,
+            )
         # the store holds only entries from chunks that completed; a
         # clean resumed run must finish the grid and match cold exactly
         clear_all_caches()
@@ -143,13 +152,12 @@ class TestCrashMidChunkResume:
         # shutdown waits for in-flight chunks, so both b=20 chunks land
         # in the store (a process pool would terminate workers instead).
         boom = ExplodingCostModel()
-        with fast_path(True):
-            with pytest.raises(RuntimeError, match="boom"):
-                run_sweep(
-                    GRID, PARAMS, boom,
-                    executor="thread", workers=2, chunk_size=1,
-                    store=tmp_path,
-                )
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep(
+                GRID, PARAMS, boom,
+                executor="thread", workers=2, chunk_size=1,
+                store=tmp_path,
+            )
         store = ExperimentStore(tmp_path, PARAMS, CM)
         assert store.cached_count() == sum(1 for p in GRID if p.b != BOOM_B)
 

@@ -1,8 +1,8 @@
 """Property-based differential testing of the vectorized batch kernel.
 
 The scalar kernel's property suite (``test_kernel_property.py``) pins
-the fast *step* simulators to the seed implementation on random
-programs; this suite pins the *batch* layer on top: for random
+the kernel's *step* simulators to the reference simulators
+(``tests/oracle.py``) on random programs; this suite pins the *batch* layer on top: for random
 programs, random machines, random seeds and random batch widths, every
 lane of :func:`repro.kernel.vector.simulate_programs_batch` must be
 bit-identical to a standalone scalar simulation of that lane — totals,
@@ -22,6 +22,8 @@ drift:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from repro.blockops import OP_NAMES
 from repro.core import CalibratedCostModel, MEIKO_CS2, ProgramSimulator
 from repro.core.loggp import LogGPParameters
 from repro.core.predictor import summarize_ge_point, summarize_uq_point
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.kernel.vector import (
     compile_plan,
     evaluate_ge_points_batch,
@@ -39,6 +41,8 @@ from repro.kernel.vector import (
 from repro.sweep import SweepPoint
 from repro.trace import TraceBuilder
 from repro.uq import UQSpec
+
+from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase")
@@ -101,13 +105,14 @@ def _report_key(report):
 
 
 def _scalar(trace, params, mode, seed, fast, rng=None):
+    """One ProgramSimulator run on the kernel (``fast``) or the oracle."""
     clear_all_caches()
-    with fast_path(fast):
+    with nullcontext() if fast else reference_engine():
         sim = ProgramSimulator(params, CM, mode=mode, seed=seed, rng=rng)
         return sim.run(trace)
 
 
-# -- batch vs scalar kernel vs seed simulator --------------------------------
+# -- batch vs scalar kernel vs reference simulator ---------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +122,7 @@ def _scalar(trace, params, mode, seed, fast, rng=None):
     seeds=st.lists(st.integers(min_value=0, max_value=7), min_size=4, max_size=4),
 )
 def test_batch_lanes_bit_identical_to_scalar_and_seed(spec, machines, seeds):
-    """Every lane of any batch == the scalar kernel == the seed simulator."""
+    """Every lane of any batch == the scalar kernel == the reference."""
     trace = _build(spec)
     plan = compile_plan(trace)
     lanes = [(_params(m, trace.num_procs), CM) for m in machines]
@@ -134,7 +139,7 @@ def test_batch_lanes_bit_identical_to_scalar_and_seed(spec, machines, seeds):
             ), f"batch != scalar kernel ({mode})"
             assert got == _report_key(
                 _scalar(trace, params, mode, seed, fast=False)
-            ), f"batch != seed simulator ({mode})"
+            ), f"batch != reference simulator ({mode})"
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,17 +227,17 @@ _layout = st.sampled_from(["diagonal", "stripped"])
     ),
 )
 def test_ge_batch_matches_scalar_sweep_entrypoint(configs):
-    """Random GE grids: the batch evaluator == summarize_ge_point per point."""
+    """Random GE grids: the batch evaluator == the reference
+    summarize_ge_point per point."""
     points = [
         SweepPoint(n=n, b=b, layout=layout, seed=seed, with_measured=False)
         for (n, b), layout, seed in configs
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_ge_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM,
                 with_measured=False, seed=point.seed,
@@ -251,7 +256,7 @@ def test_ge_batch_matches_scalar_sweep_entrypoint(configs):
     sigma=st.sampled_from([0.0, 0.05, 0.2]),
 )
 def test_ge_batch_matches_uq_replicates(config, layout, seeds, sigma):
-    """UQ replicate lanes (same config, different seeds) == scalar UQ path."""
+    """UQ replicate lanes (same config, different seeds) == reference UQ path."""
     n, b = config
     spec = UQSpec(sigma=sigma, op_sigma=sigma / 2)
     points = [
@@ -259,11 +264,10 @@ def test_ge_batch_matches_uq_replicates(config, layout, seeds, sigma):
         for seed in seeds
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM, uq=spec)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM, uq=spec)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_uq_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM, spec,
                 with_measured=False, seed=point.seed,
@@ -280,11 +284,10 @@ def test_ge_batch_with_measured_matches_scalar():
         for s in (0, 1)
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_ge_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM,
                 with_measured=True, seed=point.seed,
