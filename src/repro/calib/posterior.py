@@ -14,6 +14,7 @@ arithmetic the validation harness gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,6 +117,11 @@ class Posterior:
     # -- downstream hand-off -------------------------------------------------
     def fingerprint(self) -> str:
         """Canonical tag of the draw set (manifests, store keys)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # hashed once per instance; the cached value pickles with it
         return posterior_fingerprint(self.draws)
 
     def to_spec(self, max_draws: Optional[int] = None) -> EmpiricalSpec:

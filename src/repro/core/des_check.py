@@ -18,7 +18,7 @@ completely changed" (section 4.1).  The test suite uses this module both as
 an exact cross-check on order-forced patterns and as an invariant-preserving
 second opinion elsewhere.
 
-It runs as :func:`repro.kernel.fastdes.simulate_causal_fast`, a flat-heap
+It runs as :func:`repro.kernel.fastdes.causal_step`, a flat-heap
 replay of the coroutine model on the :mod:`repro.des` engine; that model
 itself, the readable specification the kernel must match event for
 event, is the differential oracle in ``tests/oracle.py``.
@@ -32,7 +32,8 @@ import numpy as np
 
 from .loggp import LogGPParameters
 from .message import CommPattern
-from .standard_sim import SimulationResult
+from .events import CommEvent
+from .standard_sim import SimulationResult, step_result
 
 __all__ = ["simulate_causal"]
 
@@ -56,6 +57,10 @@ def simulate_causal(
     (the machine emulator's jittered network); default is ``params.L``.
     """
     del rng, seed  # deterministic; kept for API symmetry
-    from ..kernel.fastdes import simulate_causal_fast
+    from ..kernel.fastdes import causal_step
 
-    return simulate_causal_fast(params, pattern, start_times, latency_of)
+    events: list[CommEvent] = []
+    ctimes, des_events = causal_step(params, pattern, start_times, latency_of, events)
+    return step_result(
+        params, pattern, start_times, ctimes, events, "causal", des_events
+    )

@@ -22,7 +22,7 @@ Self-messages are local memory transfers in real execution and are
 deliberately excluded here (paper section 6.3); they are reported in
 :attr:`SimulationResult.skipped_local`.
 
-The loop runs in :func:`repro.kernel.fastsim.simulate_standard_fast`;
+The loop runs in :func:`repro.kernel.fastsim.standard_step`;
 its readable transcription, which the kernel must match bit for bit, is
 the differential oracle in ``tests/oracle.py``.
 """
@@ -34,11 +34,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .events import StepTimeline
+from ..obs.events import get_tracer
+from .events import CommEvent, StepTimeline
 from .loggp import LogGPParameters
 from .message import CommPattern, Message
 
-__all__ = ["SimulationResult", "simulate_standard", "StandardSimulator"]
+__all__ = ["SimulationResult", "simulate_standard", "StandardSimulator", "step_result"]
 
 
 @dataclass
@@ -115,6 +116,38 @@ def _simulate(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
 ) -> SimulationResult:
-    from ..kernel.fastsim import simulate_standard_fast
+    from ..kernel.fastsim import standard_step
 
-    return simulate_standard_fast(params, pattern, start_times, rng)
+    events: list[CommEvent] = []
+    ctimes, _ = standard_step(params, pattern, start_times, rng, events)
+    return step_result(params, pattern, start_times, ctimes, events, "standard")
+
+
+def step_result(
+    params: LogGPParameters,
+    pattern: CommPattern,
+    start_times: Optional[Mapping[int, float]],
+    ctimes: dict[int, float],
+    events: list[CommEvent],
+    algo: str,
+    des_events: Optional[int] = None,
+) -> SimulationResult:
+    """Wrap one kernel step (its clocks and event sink) as a result.
+
+    Emits the step on the ambient tracer (``des_events``, the causal
+    replay's event total, is counted first when given).
+    """
+    starts = start_times or {}
+    timeline = StepTimeline(
+        params=params, events=events,
+        start_times={p: starts.get(p, 0.0) for p in ctimes},
+    )
+    tracer = get_tracer()
+    if tracer.enabled:
+        if des_events is not None:
+            tracer.count("des.events", des_events)
+        tracer.count(f"sim.comm_steps.{algo}")
+        tracer.emit_comm_step(timeline, ctimes, algo=algo)
+    return SimulationResult(
+        timeline=timeline, ctimes=ctimes, skipped_local=pattern.local_messages()
+    )

@@ -17,7 +17,7 @@ blocked sender (seeded RNG) is forced to transmit its next message.
 
 The same LogGP gap rules (Figure 1) apply as in the standard algorithm.
 
-The rounds run in :func:`repro.kernel.fastsim.simulate_worstcase_fast`;
+The rounds run in :func:`repro.kernel.fastsim.worstcase_step`;
 their readable transcription, which the kernel must match bit for bit,
 is the differential oracle in ``tests/oracle.py``.
 """
@@ -30,7 +30,8 @@ import numpy as np
 
 from .loggp import LogGPParameters
 from .message import CommPattern
-from .standard_sim import SimulationResult
+from .events import CommEvent
+from .standard_sim import SimulationResult, step_result
 
 __all__ = ["simulate_worstcase", "WorstCaseSimulator"]
 
@@ -70,6 +71,8 @@ def _simulate(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
 ) -> SimulationResult:
-    from ..kernel.fastsim import simulate_worstcase_fast
+    from ..kernel.fastsim import worstcase_step
 
-    return simulate_worstcase_fast(params, pattern, start_times, rng)
+    events: list[CommEvent] = []
+    ctimes, _ = worstcase_step(params, pattern, start_times, rng, events)
+    return step_result(params, pattern, start_times, ctimes, events, "worstcase")

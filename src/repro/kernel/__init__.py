@@ -28,7 +28,7 @@ Submodules
 memo
     Fingerprint-keyed memoisation of pure cost functions.
 fastsim
-    The two Figure 2-style step simulators.
+    The two Figure 2-style step simulators, one function each.
 fastdes
     Flat-heap, sequence-exact replay of the causal DES model.
 tracecache
@@ -52,9 +52,9 @@ __all__ = [
     "clear_caches",
     "clear_all_caches",
     "ge_trace",
-    "simulate_standard_fast",
-    "simulate_worstcase_fast",
-    "simulate_causal_fast",
+    "standard_step",
+    "worstcase_step",
+    "causal_step",
     "ge_plan",
     "compile_plan",
     "simulate_programs_batch",
@@ -63,9 +63,9 @@ __all__ = [
 
 _LAZY = {
     "ge_trace": "tracecache",
-    "simulate_standard_fast": "fastsim",
-    "simulate_worstcase_fast": "fastsim",
-    "simulate_causal_fast": "fastdes",
+    "standard_step": "fastsim",
+    "worstcase_step": "fastsim",
+    "causal_step": "fastdes",
     "ge_plan": "vector",
     "compile_plan": "vector",
     "simulate_programs_batch": "vector",

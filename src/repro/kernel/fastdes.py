@@ -33,6 +33,23 @@ reference event        slab entry (when, seq, kind, ...)
                        ``des.events`` total stay identical
 ====================  ==================================================
 
+**Zero-delay events run in place.**  Three kinds are scheduled at the
+current time: ``INIT_DELIVER``, ``WAKEUP`` and ``ANYOF_FIRE``.  Such an
+entry ``(now, s)`` pops next exactly when no heap entry precedes it —
+an entry already in the heap at ``now`` with a smaller sequence number.
+Every other entry is due at ``now`` or later (simulated time never runs
+backwards), and sequence numbers are unique, so one comparison against
+the heap top decides it.  When nothing precedes it, the replay skips the
+push and the pop and runs the entry as the very next event.  Its
+sequence number is still consumed where the reference consumes it, so
+the final counter, the pop order and every latency draw are unchanged.
+``INIT_DELIVER`` is tested only after the sender's next decision has
+run — the reference pops it after that decision, and the ``DELIVER`` it
+schedules takes the sequence number current at that point.
+
+Events are built only on request: with ``sink=None`` (the untraced
+machine emulator) no :class:`CommEvent` is constructed at all.
+
 Stale wakeups are real in the reference (a message landing between an
 ``AnyOf`` firing and the processor resuming schedules a wakeup that
 resolves into nothing); per-processor wait generation counters replicate
@@ -51,14 +68,12 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Mapping, Optional
 
-from ..core.events import CommEvent, StepTimeline
+from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
 from ..core.message import CommPattern
-from ..core.standard_sim import SimulationResult
-from ..obs.events import get_tracer
 from .memo import send_durations
 
-__all__ = ["simulate_causal_fast"]
+__all__ = ["causal_step"]
 
 _INF = float("inf")
 _SEND = OpKind.SEND
@@ -81,18 +96,23 @@ _PLAIN = 1   # `yield st.wakeup` — block until any delivery
 _ANYOF = 2   # `yield any_of([timeout, wakeup])` — send slot or delivery
 
 
-def simulate_causal_fast(
+def causal_step(
     params: LogGPParameters,
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]] = None,
     latency_of=None,
-) -> SimulationResult:
-    """Flat-heap replay of the causal model (:mod:`repro.core.des_check`)."""
+    sink: Optional[list] = None,
+) -> tuple[dict[int, float], int]:
+    """Flat-heap replay of the causal model (:mod:`repro.core.des_check`).
+
+    Returns ``(ctimes, des_events)``: the final clocks and the number of
+    events the reference engine processes.  Appends the step's
+    :class:`CommEvent` stream to ``sink`` if given.
+    """
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
-    starts = dict(start_times or {})
+    starts = start_times or {}
     remote = pattern.remote_messages()
-    local = pattern.local_messages()
     procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
 
     o = params.o
@@ -122,12 +142,7 @@ def simulate_causal_fast(
         sends[rank_of[m.src]].append(m)
         expected[rank_of[m.dst]] += 1
 
-    timeline = StepTimeline(
-        params=params,
-        start_times={p: last_end[i] for i, p in enumerate(procs)},
-    )
-    events = timeline.events
-    events_append = events.append
+    emit = None if sink is None else sink.append
 
     # One INIT_PROC per processor at t=0, seqs 0..P-1 — already heap-ordered.
     heap: list[tuple] = [(0.0, i, _INIT_PROC, i) for i in range(n_procs)]
@@ -176,9 +191,8 @@ def simulate_causal_fast(
                 )
                 seq += 1
             else:
-                events_append(
-                    CommEvent(procs[pid], _RECV, recv_start, o, msg, arrival=arrival)
-                )
+                if emit is not None:
+                    emit(CommEvent(procs[pid], _RECV, recv_start, o, msg, arrival=arrival))
                 heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
                 seq += 1
         elif sq:
@@ -197,9 +211,8 @@ def simulate_causal_fast(
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
-                events_append(
-                    CommEvent(procs[pid], _SEND, send_start, duration, msg)
-                )
+                if emit is not None:
+                    emit(CommEvent(procs[pid], _SEND, send_start, duration, msg))
                 heappush(
                     heap,
                     (now + duration, seq, _SEND_END, pid, send_start + duration, msg),
@@ -210,8 +223,17 @@ def simulate_causal_fast(
             wait_state[pid] = _PLAIN
             wakeup_live[pid] = True
 
-    while heap:
-        item = heappop(heap)
+    # ``pending`` holds a zero-delay entry that pops next (module
+    # docstring): it runs as the next event without a heap round trip.
+    pending = None
+    while True:
+        if pending is not None:
+            item = pending
+            pending = None
+        elif heap:
+            item = heappop(heap)
+        else:
+            break
         t = item[0]
         kind = item[2]
         if kind == _RECV_END:
@@ -228,17 +250,24 @@ def simulate_causal_fast(
             # Wire latency is drawn *before* the delivery process is
             # scheduled and before the next decision — the emulator's
             # shared-RNG draw order depends on this.
-            wire = latency_of(msg)
-            heappush(heap, (t, seq, _INIT_DELIVER, rank_of[msg.dst], wire, msg))
+            entry = (t, seq, _INIT_DELIVER, rank_of[msg.dst], latency_of(msg), msg)
             seq += 1
             decide(pid, t)
+            if heap and heap[0] < entry:
+                heappush(heap, entry)
+            else:
+                pending = entry
         elif kind == _DELIVER:
             dst = item[3]
             msg = item[4]
             heappush(arrived[dst], (t, msg.uid, msg))
             if wakeup_live[dst]:
                 wakeup_live[dst] = False
-                heappush(heap, (t, seq, _WAKEUP, dst, wait_gen[dst]))
+                entry = (t, seq, _WAKEUP, dst, wait_gen[dst])
+                if heap and heap[0] < entry:
+                    heappush(heap, entry)
+                else:
+                    pending = entry
                 seq += 1
             seq += 1  # delivery Process completion: no-op pop, skip push
         elif kind == _INIT_DELIVER:
@@ -247,9 +276,8 @@ def simulate_causal_fast(
         elif kind == _RECV_START:
             pid = item[3]
             recv_start = item[4]
-            events_append(
-                CommEvent(procs[pid], _RECV, recv_start, o, item[6], arrival=item[5])
-            )
+            if emit is not None:
+                emit(CommEvent(procs[pid], _RECV, recv_start, o, item[6], arrival=item[5]))
             heappush(heap, (t + o, seq, _RECV_END, pid, recv_start + o))
             seq += 1
         elif kind == _WAKEUP:
@@ -261,7 +289,11 @@ def simulate_causal_fast(
                     decide(pid, t)
                 elif ws == _ANYOF and not anyof_fired[pid]:
                     anyof_fired[pid] = True
-                    heappush(heap, (t, seq, _ANYOF_FIRE, pid))
+                    entry = (t, seq, _ANYOF_FIRE, pid)
+                    if heap and heap[0] < entry:
+                        heappush(heap, entry)
+                    else:
+                        pending = entry
                     seq += 1
             # else: stale wakeup — the reference pops it into a no-op too
         elif kind == _SENDSLOT:
@@ -272,7 +304,11 @@ def simulate_causal_fast(
                 and not anyof_fired[pid]
             ):
                 anyof_fired[pid] = True
-                heappush(heap, (t, seq, _ANYOF_FIRE, pid))
+                entry = (t, seq, _ANYOF_FIRE, pid)
+                if heap and heap[0] < entry:
+                    heappush(heap, entry)
+                else:
+                    pending = entry
                 seq += 1
             # else: the AnyOf already fired via a wakeup — no-op pop
         elif kind == _ANYOF_FIRE:
@@ -283,12 +319,6 @@ def simulate_causal_fast(
         else:  # _INIT_PROC
             decide(item[3], t)
 
-    ctimes = {p: last_end[i] for i, p in enumerate(procs)}
-    tracer = get_tracer()
-    if tracer.enabled:
-        # Every reference schedule maps to one consumed seq, so the final
-        # counter equals the engine's processed-event total.
-        tracer.count("des.events", seq)
-        tracer.count("sim.comm_steps.causal")
-        tracer.emit_comm_step(timeline, ctimes, algo="causal")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    # Every reference schedule maps to one consumed seq, so the final
+    # counter equals the engine's processed-event total.
+    return {p: last_end[i] for i, p in enumerate(procs)}, seq

@@ -1,30 +1,52 @@
-"""Fast step simulators: bit-identical tight-loop rewrites of Figure 2 & §4.2.
+"""Step simulators: bit-identical tight-loop rewrites of Figure 2 & §4.2.
 
-These functions compute exactly what the reference transcriptions of
-the two algorithms (``simulate_standard_reference`` and
-``simulate_worstcase_reference`` in ``tests/oracle.py``) compute — same
-:class:`CommEvent` stream in the same global order, same final clocks,
-same RNG consumption — but with the per-operation overhead removed:
+One function per algorithm.  :func:`standard_step` and
+:func:`worstcase_step` compute exactly what the reference transcriptions
+(``simulate_standard_reference`` and ``simulate_worstcase_reference`` in
+``tests/oracle.py``) compute — same :class:`CommEvent` stream in the same
+global order, same final clocks, same RNG consumption — but with the
+per-operation overhead removed:
 
 * the LogGP gap rules and durations are inlined (the receive→send gap
   ``max(o, g) - o`` is a constant, receive duration is ``o``, send
   durations come from the shared per-machine table in
   :mod:`repro.kernel.memo`);
+* each returns ``(ctimes, busy)``: every processor's engaged time is
+  folded on the fly — the same per-processor left-fold over the same
+  durations in the same order as ``StepTimeline.busy_times()`` over the
+  events.  The :class:`CommEvent` stream is built only when the caller
+  passes a ``sink`` list; the batch path passes none.
+  :func:`repro.core.standard_sim.step_result` wraps a sink into the
+  public :class:`~repro.core.standard_sim.SimulationResult`;
+* random draws are ``seq[int(rng.integers(0, len(seq)))]`` where the
+  reference calls ``int(rng.choice(seq))``: on a plain sequence the two
+  pick the same element and leave the generator in the same state (the
+  oracle keeps ``rng.choice``, so the differential suite re-checks this
+  on every run);
 * the standard algorithm adds a **batched deterministic segment**: after
   the main loop picks the unique minimum-clock sender, that processor
   keeps operating while its clock stays *strictly* below every other
   sender's — precisely the iterations in which the reference rescans all
   processors, finds a singleton tie set, and consumes no randomness.
-  Ties (clock equality) always fall back to the outer rescan, so
-  ``rng.choice`` is invoked on exactly the same tie sets as the
-  reference — bit-equal draws, bit-equal schedules.
+  Ties (clock equality) always fall back to the outer rescan, so a draw
+  happens on exactly the same tie sets as the reference;
+* the worst-case algorithm **drains a forced send's destination at
+  once**.  A send is forced only when no processor can send and none
+  has a pending receive; the forced send adds exactly one pending
+  receive, at its destination, and changes no other processor's
+  messages-to-receive counter.  The reference's next round would
+  therefore find no ready sender and that one receiver — so the kernel
+  drains it without the rescan, and keeps forcing from the same blocked
+  list (minus a sender whose queue emptied) until the destination is
+  ready or nothing is left to send.
 
 Float discipline: every arithmetic expression here is the same sequence
 of operations as the reference (e.g. ``arrival = (start + duration) + L``,
 never ``start + (duration + L)``), so results are bit-equal, not just
 close.  The differential oracle (``tests/test_kernel_differential.py``)
-and the hypothesis suite (``tests/test_kernel_property.py``) enforce
-this on every app × layout × engine.
+and the hypothesis suites (``tests/test_kernel_property.py``,
+``tests/test_kernel_forced.py``) enforce this on every app × layout ×
+engine.
 """
 
 from __future__ import annotations
@@ -35,35 +57,31 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..core.events import CommEvent, StepTimeline
+from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
 from ..core.message import CommPattern
-from ..core.standard_sim import SimulationResult
-from ..obs.events import get_tracer
 from .memo import send_durations
 
-__all__ = [
-    "simulate_standard_fast",
-    "simulate_worstcase_fast",
-    "simulate_standard_lean",
-    "simulate_worstcase_lean",
-]
+__all__ = ["standard_step", "worstcase_step"]
 
 _INF = float("inf")
 _SEND = OpKind.SEND
 _RECV = OpKind.RECV
 
 
-def simulate_standard_fast(
+def standard_step(
     params: LogGPParameters,
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
-) -> SimulationResult:
-    """Fast path of the Figure 2 algorithm (see module docstring)."""
-    starts = dict(start_times or {})
+    sink: Optional[list] = None,
+) -> tuple[dict[int, float], dict[int, float]]:
+    """The Figure 2 algorithm; returns ``(ctimes, busy)``.
+
+    Appends the step's :class:`CommEvent` stream to ``sink`` if given.
+    """
+    starts = start_times or {}
     remote = pattern.remote_messages()
-    local = pattern.local_messages()
     procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
 
     o = params.o
@@ -73,24 +91,21 @@ def simulate_standard_fast(
     rs_gap = max(o, g) - o  # receive -> send gap (Figure 1's asymmetric rule)
     sdur = send_durations(params)
     sdur_get = sdur.get
+    emit = None if sink is None else sink.append
 
     ctime: dict[int, float] = {}
+    busy: dict[int, float] = {}
     last_kind: dict[int, Optional[OpKind]] = {}
     send_q: dict[int, deque] = {}
     recv_h: dict[int, list] = {}
     for p in procs:
         ctime[p] = starts.get(p, 0.0)
+        busy[p] = 0.0
         last_kind[p] = None
         send_q[p] = deque()
         recv_h[p] = []
     for m in remote:  # one pass; per-source order is the remote order
         send_q[m.src].append(m)
-
-    timeline = StepTimeline(
-        params=params, start_times={p: ctime[p] for p in procs}
-    )
-    events = timeline.events
-    events_append = events.append
 
     while True:
         # One scan finds the senders and their minimum clock together.
@@ -111,7 +126,7 @@ def simulate_standard_fast(
             other_min = _INF
         else:
             tied = [p for p in senders if ctime[p] == min_ct]
-            proc = tied[0] if len(tied) == 1 else int(rng.choice(tied))
+            proc = tied[0] if len(tied) == 1 else tied[int(rng.integers(0, len(tied)))]
 
             # Strict bound for the batched segment: while this processor's
             # clock stays below every other sender's, the reference would
@@ -119,133 +134,6 @@ def simulate_standard_fast(
             # going without rescanning.  Other senders' clocks cannot change
             # meanwhile (only `proc` operates; sends only grow *receive*
             # heaps).
-            other_min = _INF
-            for p in senders:
-                if p != proc and ctime[p] < other_min:
-                    other_min = ctime[p]
-
-        sq = send_q[proc]
-        rh = recv_h[proc]
-        ct = ctime[proc]
-        lk = last_kind[proc]
-        while True:
-            if rh:
-                arrival = rh[0][0]
-                start_recv = max(arrival, ct if lk is None else ct + g)
-            else:
-                start_recv = _INF
-            start_send = (
-                ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-            )
-
-            if start_send < start_recv:
-                msg = sq.popleft()
-                size = msg.size
-                duration = sdur_get(size)
-                if duration is None:
-                    duration = sdur[size] = o + (size - 1) * G
-                events_append(CommEvent(proc, _SEND, start_send, duration, msg))
-                ct = start_send + duration
-                lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
-            else:
-                arrival, _, msg = heappop(rh)
-                events_append(
-                    CommEvent(proc, _RECV, start_recv, o, msg, arrival=arrival)
-                )
-                ct = start_recv + o
-                lk = _RECV
-            if not sq or not ct < other_min:
-                break
-        ctime[proc] = ct
-        last_kind[proc] = lk
-
-    # Drain: every processor performs its remaining receives.
-    for p in procs:
-        rh = recv_h[p]
-        if not rh:
-            continue
-        ct = ctime[p]
-        lk = last_kind[p]
-        while rh:
-            arrival, _, msg = heappop(rh)
-            start = max(arrival, ct if lk is None else ct + g)
-            events_append(CommEvent(p, _RECV, start, o, msg, arrival=arrival))
-            ct = start + o
-            lk = _RECV
-        ctime[p] = ct
-        last_kind[p] = lk
-
-    ctimes = {p: ctime[p] for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.standard")
-        tracer.emit_comm_step(timeline, ctimes, algo="standard")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
-
-
-def simulate_standard_lean(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """The Figure 2 algorithm without event materialisation.
-
-    Identical schedule, clocks and RNG consumption as
-    :func:`simulate_standard_fast`, but instead of building the
-    :class:`CommEvent` stream it folds each processor's engaged time on
-    the fly — the same per-processor left-fold over the same durations
-    in the same order as ``StepTimeline.busy_times()`` over the events,
-    so both outputs are bit-equal to the full simulation's.  Returns
-    ``(ctimes, busy)``.
-
-    For the untraced batch path only: no timeline exists to trace, so
-    callers must not use this while the observability tracer is enabled.
-    """
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-
-    o = params.o
-    g = params.g
-    L = params.L
-    G = params.G
-    rs_gap = max(o, g) - o
-    sdur = send_durations(params)
-    sdur_get = sdur.get
-
-    ctime: dict[int, float] = {}
-    busy: dict[int, float] = {}
-    last_kind: dict[int, Optional[OpKind]] = {}
-    send_q: dict[int, deque] = {}
-    recv_h: dict[int, list] = {}
-    for p in procs:
-        ctime[p] = starts.get(p, 0.0)
-        busy[p] = 0.0
-        last_kind[p] = None
-        send_q[p] = deque()
-        recv_h[p] = []
-    for m in remote:
-        send_q[m.src].append(m)
-
-    while True:
-        senders = []
-        min_ct = _INF
-        for p in procs:
-            if send_q[p]:
-                senders.append(p)
-                c = ctime[p]
-                if c < min_ct:
-                    min_ct = c
-        if not senders:
-            break
-        if len(senders) == 1:
-            proc = senders[0]
-            other_min = _INF
-        else:
-            tied = [p for p in senders if ctime[p] == min_ct]
-            proc = tied[0] if len(tied) == 1 else int(rng.choice(tied))
             other_min = _INF
             for p in senders:
                 if p != proc and ctime[p] < other_min:
@@ -272,12 +160,16 @@ def simulate_standard_lean(
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
+                if emit is not None:
+                    emit(CommEvent(proc, _SEND, start_send, duration, msg))
                 bz += duration
                 ct = start_send + duration
                 lk = _SEND
                 heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
             else:
                 arrival, _, msg = heappop(rh)
+                if emit is not None:
+                    emit(CommEvent(proc, _RECV, start_recv, o, msg, arrival=arrival))
                 bz += o
                 ct = start_recv + o
                 lk = _RECV
@@ -287,6 +179,7 @@ def simulate_standard_lean(
         last_kind[proc] = lk
         busy[proc] = bz
 
+    # Drain: every processor performs its remaining receives.
     for p in procs:
         rh = recv_h[p]
         if not rh:
@@ -297,6 +190,8 @@ def simulate_standard_lean(
         while rh:
             arrival, _, msg = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
+            if emit is not None:
+                emit(CommEvent(p, _RECV, start, o, msg, arrival=arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -307,16 +202,19 @@ def simulate_standard_lean(
     return ctime, busy
 
 
-def simulate_worstcase_fast(
+def worstcase_step(
     params: LogGPParameters,
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
-) -> SimulationResult:
-    """Fast path of the overestimation algorithm (round structure kept)."""
-    starts = dict(start_times or {})
+    sink: Optional[list] = None,
+) -> tuple[dict[int, float], dict[int, float]]:
+    """The §4.2 overestimation algorithm; returns ``(ctimes, busy)``.
+
+    Appends the step's :class:`CommEvent` stream to ``sink`` if given.
+    """
+    starts = start_times or {}
     remote = pattern.remote_messages()
-    local = pattern.local_messages()
     procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
 
     o = params.o
@@ -326,14 +224,17 @@ def simulate_worstcase_fast(
     rs_gap = max(o, g) - o
     sdur = send_durations(params)
     sdur_get = sdur.get
+    emit = None if sink is None else sink.append
 
     ctime: dict[int, float] = {}
+    busy: dict[int, float] = {}
     last_kind: dict[int, Optional[OpKind]] = {}
     send_q: dict[int, deque] = {}
     recv_h: dict[int, list] = {}
     expected: dict[int, int] = {}
     for p in procs:
         ctime[p] = starts.get(p, 0.0)
+        busy[p] = 0.0
         last_kind[p] = None
         send_q[p] = deque()
         recv_h[p] = []
@@ -343,24 +244,22 @@ def simulate_worstcase_fast(
         expected[m.dst] += 1
     remaining = len(remote)
 
-    timeline = StepTimeline(
-        params=params, start_times={p: ctime[p] for p in procs}
-    )
-    events = timeline.events
-    events_append = events.append
-
     def drain_recvs(proc: int) -> None:
         rh = recv_h[proc]
         ct = ctime[proc]
         lk = last_kind[proc]
+        bz = busy[proc]
         while rh:
             arrival, _, msg = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
-            events_append(CommEvent(proc, _RECV, start, o, msg, arrival=arrival))
+            if emit is not None:
+                emit(CommEvent(proc, _RECV, start, o, msg, arrival=arrival))
+            bz += o
             ct = start + o
             lk = _RECV
         ctime[proc] = ct
         last_kind[proc] = lk
+        busy[proc] = bz
 
     while remaining:
         # One scan classifies the round: senders that may transmit
@@ -378,151 +277,40 @@ def simulate_worstcase_fast(
                 for p in receivers:
                     drain_recvs(p)
                 continue
+            # Deadlock: random forced transmissions break the cycle, one
+            # send at a time, each destination drained at once (see the
+            # module docstring for why no rescan is needed in between).
             blocked = [p for p in procs if send_q[p]]
-            victim = blocked[0] if len(blocked) == 1 else int(rng.choice(blocked))
-            # Random forced transmission breaks the cycle (one send).
-            msg = send_q[victim].popleft()
-            lk = last_kind[victim]
-            ct = ctime[victim]
-            start = ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-            size = msg.size
-            duration = sdur_get(size)
-            if duration is None:
-                duration = sdur[size] = o + (size - 1) * G
-            events_append(CommEvent(victim, _SEND, start, duration, msg))
-            end = start + duration
-            ctime[victim] = end
-            last_kind[victim] = _SEND
-            heappush(recv_h[msg.dst], (end + L, msg.uid, msg))
-            expected[msg.dst] -= 1
-            remaining -= 1
-            continue
-
-        for p in ready:
-            sq = send_q[p]
-            ct = ctime[p]
-            lk = last_kind[p]
-            remaining -= len(sq)
-            while sq:
-                msg = sq.popleft()
-                start = (
-                    ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
+            while True:
+                n_blocked = len(blocked)
+                victim = (
+                    blocked[0] if n_blocked == 1
+                    else blocked[int(rng.integers(0, n_blocked))]
                 )
+                sq = send_q[victim]
+                msg = sq.popleft()
+                lk = last_kind[victim]
+                ct = ctime[victim]
+                start = ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
                 size = msg.size
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
-                events_append(CommEvent(p, _SEND, start, duration, msg))
-                ct = start + duration
-                lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
-                expected[msg.dst] -= 1
-            ctime[p] = ct
-            last_kind[p] = lk
-        for p in procs:
-            if recv_h[p]:
-                drain_recvs(p)
-
-    for p in procs:
-        if recv_h[p]:
-            drain_recvs(p)
-
-    ctimes = {p: ctime[p] for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.worstcase")
-        tracer.emit_comm_step(timeline, ctimes, algo="worstcase")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
-
-
-def simulate_worstcase_lean(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """The §4.2 overestimation algorithm without event materialisation.
-
-    The :func:`simulate_standard_lean` counterpart for the worst-case
-    engine: same schedule, clocks and RNG draws as
-    :func:`simulate_worstcase_fast`, engaged time folded on the fly.
-    Returns ``(ctimes, busy)``; untraced batch path only.
-    """
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-
-    o = params.o
-    g = params.g
-    L = params.L
-    G = params.G
-    rs_gap = max(o, g) - o
-    sdur = send_durations(params)
-    sdur_get = sdur.get
-
-    ctime: dict[int, float] = {}
-    busy: dict[int, float] = {}
-    last_kind: dict[int, Optional[OpKind]] = {}
-    send_q: dict[int, deque] = {}
-    recv_h: dict[int, list] = {}
-    expected: dict[int, int] = {}
-    for p in procs:
-        ctime[p] = starts.get(p, 0.0)
-        busy[p] = 0.0
-        last_kind[p] = None
-        send_q[p] = deque()
-        recv_h[p] = []
-        expected[p] = 0
-    for m in remote:
-        send_q[m.src].append(m)
-        expected[m.dst] += 1
-    remaining = len(remote)
-
-    def drain_recvs(proc: int) -> None:
-        rh = recv_h[proc]
-        ct = ctime[proc]
-        lk = last_kind[proc]
-        bz = busy[proc]
-        while rh:
-            arrival, _, msg = heappop(rh)
-            start = max(arrival, ct if lk is None else ct + g)
-            bz += o
-            ct = start + o
-            lk = _RECV
-        ctime[proc] = ct
-        last_kind[proc] = lk
-        busy[proc] = bz
-
-    while remaining:
-        ready = []
-        receivers = []
-        for p in procs:
-            if recv_h[p]:
-                receivers.append(p)
-            elif send_q[p] and expected[p] == 0:
-                ready.append(p)
-        if not ready:
-            if receivers:
-                for p in receivers:
-                    drain_recvs(p)
-                continue
-            blocked = [p for p in procs if send_q[p]]
-            victim = blocked[0] if len(blocked) == 1 else int(rng.choice(blocked))
-            msg = send_q[victim].popleft()
-            lk = last_kind[victim]
-            ct = ctime[victim]
-            start = ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-            size = msg.size
-            duration = sdur_get(size)
-            if duration is None:
-                duration = sdur[size] = o + (size - 1) * G
-            busy[victim] += duration
-            end = start + duration
-            ctime[victim] = end
-            last_kind[victim] = _SEND
-            heappush(recv_h[msg.dst], (end + L, msg.uid, msg))
-            expected[msg.dst] -= 1
-            remaining -= 1
+                if emit is not None:
+                    emit(CommEvent(victim, _SEND, start, duration, msg))
+                busy[victim] += duration
+                end = start + duration
+                ctime[victim] = end
+                last_kind[victim] = _SEND
+                dst = msg.dst
+                heappush(recv_h[dst], (end + L, msg.uid, msg))
+                expected[dst] -= 1
+                remaining -= 1
+                drain_recvs(dst)
+                if not remaining or (send_q[dst] and expected[dst] == 0):
+                    break
+                if not sq:
+                    blocked.remove(victim)
             continue
 
         for p in ready:
@@ -540,6 +328,8 @@ def simulate_worstcase_lean(
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
+                if emit is not None:
+                    emit(CommEvent(p, _SEND, start, duration, msg))
                 bz += duration
                 ct = start + duration
                 lk = _SEND
@@ -552,6 +342,7 @@ def simulate_worstcase_lean(
             if recv_h[p]:
                 drain_recvs(p)
 
+    # Receives left over from the final round of sends.
     for p in procs:
         if recv_h[p]:
             drain_recvs(p)

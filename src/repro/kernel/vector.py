@@ -51,7 +51,7 @@ from ..core.program_sim import PredictionReport
 from ..core.standard_sim import simulate_standard
 from ..core.worstcase_sim import simulate_worstcase
 from ..trace.program import ProgramTrace
-from .fastsim import simulate_standard_lean, simulate_worstcase_lean
+from .fastsim import standard_step, worstcase_step
 from .memo import memoize
 from .tracecache import ge_trace
 
@@ -69,11 +69,12 @@ _SIMULATORS = {
     "causal": simulate_causal,
 }
 
-#: event-free step simulators (same clocks/busy/RNG, no CommEvent stream);
-#: the batch path is untraced by construction, so nothing needs the events
+#: the kernel steps run without an event sink (same clocks/busy/RNG, no
+#: CommEvent stream); the batch path is untraced by construction, so
+#: nothing needs the events
 _LEAN_SIMULATORS = {
-    "standard": simulate_standard_lean,
-    "worstcase": simulate_worstcase_lean,
+    "standard": standard_step,
+    "worstcase": worstcase_step,
 }
 
 #: the engines one GE point evaluates (the ``predict_both`` pair)
@@ -261,8 +262,7 @@ def simulate_programs_batch(
                 starts = {p: cl[p, i].item() for p in participants}
                 if lean is not None:
                     ctimes, busy = lean(
-                        machines[i][0], pstep.pattern,
-                        start_times=starts, rng=lane_rngs[i][mode],
+                        machines[i][0], pstep.pattern, starts, lane_rngs[i][mode]
                     )
                 else:
                     result = simulate(

@@ -114,11 +114,6 @@ class NodeCPU:
         self.noise_sigma = noise_sigma
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-    def _noise(self) -> float:
-        if self.noise_sigma == 0.0:
-            return 1.0
-        return float(np.exp(self.rng.normal(0.0, self.noise_sigma)))
-
     def run_phase(self, ops: Sequence[Work]) -> CompPhaseResult:
         """Execute one computation phase; returns its timing breakdown.
 
@@ -128,17 +123,27 @@ class NodeCPU:
         cache state, and that streaming cost is already inside the warm
         (Figure 6) cost — the paper's cache distortion is specifically a
         small-block effect ("many non-adjacent small blocks", §6.3).
+
+        The phase's noise factors are drawn in one vector call: the node's
+        generator feeds nothing else, and a vector of normals (and its
+        ``np.exp``) equals the same number of scalar draws, bit for bit.
         """
+        if self.noise_sigma == 0.0:
+            noise = [1.0] * len(ops)
+        else:
+            noise = np.exp(self.rng.normal(0.0, self.noise_sigma, size=len(ops))).tolist()
+        cost = self.cost_model.cost
+        cache = self.cache
         warm = 0.0
         cache_extra = 0.0
-        for w in ops:
-            warm += self.cost_model.cost(w.op, w.b) * self._noise()
-            if self.cache is not None:
+        for w, factor in zip(ops, noise):
+            warm += cost(w.op, w.b) * factor
+            if cache is not None:
                 touched = touched_blocks(w)
                 footprint = sum(nbytes for _, nbytes in touched)
-                cacheable = max(0.0, 1.0 - footprint / self.cache.capacity_bytes)
+                cacheable = max(0.0, 1.0 - footprint / cache.capacity_bytes)
                 for key, nbytes in touched:
-                    if not self.cache.touch(key, nbytes) and cacheable > 0.0:
+                    if not cache.touch(key, nbytes) and cacheable > 0.0:
                         cache_extra += (
                             (nbytes / self.line_bytes) * self.miss_penalty_us * cacheable
                         )

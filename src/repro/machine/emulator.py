@@ -170,13 +170,19 @@ class MachineEmulator:
         structured events on the ``emulator`` track: per-phase ``compute``
         slices (with cache/scan attribution), ``local_copy`` slices for
         self-messages, and the causal communication model's
-        ``comm``/``send``/``recv`` slices (see :mod:`repro.obs`).
+        ``comm``/``send``/``recv`` slices (see :mod:`repro.obs`).  Only a
+        traced run builds those events: it looks the causal model up as
+        this module's ``simulate_causal`` (the oracle's injection point),
+        while an untraced run replays each step for its clocks alone.
         """
         tracer = get_tracer()
         with tracer.in_track("emulator"):
             return self._run_traced(trace, tracer)
 
     def _run_traced(self, trace: ProgramTrace, tracer) -> MeasuredReport:
+        # imported on first run, so loading the CLI imports nothing new
+        from ..kernel.fastdes import causal_step
+
         # the two slice categories this loop emits, hoisted out of it
         traced = tracer.enabled and tracer.wants("compute")
         traced_copy = tracer.enabled and tracer.wants("local_copy")
@@ -226,14 +232,20 @@ class MachineEmulator:
             if remote:
                 participants = {p for m in remote for p in (m.src, m.dst)}
                 starts = {p: clocks[p] for p in participants}
-                result = simulate_causal(
-                    self.params,
-                    step.pattern,
-                    start_times=starts,
-                    latency_of=self.network.latency_of,
-                )
+                if tracer.enabled:
+                    ctimes = simulate_causal(
+                        self.params,
+                        step.pattern,
+                        start_times=starts,
+                        latency_of=self.network.latency_of,
+                    ).ctimes
+                else:
+                    # only the clocks are read: replay without events
+                    ctimes, _ = causal_step(
+                        self.params, step.pattern, starts, self.network.latency_of
+                    )
                 for p in participants:
-                    clocks[p] = result.ctimes.get(p, clocks[p])
+                    clocks[p] = ctimes.get(p, clocks[p])
             for msg in step.pattern.local_messages():
                 cost = self.network.local_copy_us(msg)
                 if traced_copy:

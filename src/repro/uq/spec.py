@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 __all__ = ["LOGGP_PARAMS", "UQSpec", "MachineDraw", "EmpiricalSpec", "spec_from_dict"]
@@ -302,6 +303,12 @@ class EmpiricalSpec:
 
     def fingerprint(self) -> str:
         """Short stable hash of the draw set (store tags, manifests)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # hashed once per instance; the cached value pickles with it, so
+        # sweep chunks dispatched to pool workers do not hash it again
         from ..core.fingerprint import posterior_fingerprint
 
         return posterior_fingerprint(self.draws)

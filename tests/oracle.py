@@ -8,7 +8,9 @@ package ran before the kernel became its only engine:
 * :func:`simulate_worstcase_reference` — the overestimation algorithm of
   section 4.2 (receive everything first, random deadlock breaking);
 * :func:`simulate_causal_reference` — the causal active-message model as
-  one coroutine per processor on the :mod:`repro.des` engine.
+  one coroutine per processor on the :mod:`repro.des` engine;
+* :func:`run_phase_reference` — the emulated node's computation phase,
+  drawing its timing noise one scalar draw per operation.
 
 Runtime does not need them: :mod:`repro.kernel` computes the same values
 bit for bit with less interpreter overhead.  The kernel's tests compare
@@ -37,6 +39,7 @@ from repro.core.message import CommPattern, Message
 from repro.core.standard_sim import SimulationResult
 from repro.des import Environment, Event
 from repro.machine import emulator as emulator_mod
+from repro.machine.cpu import CompPhaseResult, NodeCPU, touched_blocks
 from repro.obs import TraceConfig, Tracer, tracing
 from repro.obs.events import get_tracer
 
@@ -44,6 +47,7 @@ __all__ = [
     "simulate_standard_reference",
     "simulate_worstcase_reference",
     "simulate_causal_reference",
+    "run_phase_reference",
     "REFERENCE_SIMULATORS",
     "reference_engine",
 ]
@@ -383,6 +387,39 @@ def simulate_causal_reference(
     return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
 
 
+# -- the emulated node's computation phase -----------------------------------
+
+
+def run_phase_reference(cpu: NodeCPU, ops) -> CompPhaseResult:
+    """``NodeCPU.run_phase`` with one scalar noise draw per operation."""
+
+    def noise() -> float:
+        if cpu.noise_sigma == 0.0:
+            return 1.0
+        return float(np.exp(cpu.rng.normal(0.0, cpu.noise_sigma)))
+
+    warm = 0.0
+    cache_extra = 0.0
+    for w in ops:
+        warm += cpu.cost_model.cost(w.op, w.b) * noise()
+        if cpu.cache is not None:
+            touched = touched_blocks(w)
+            footprint = sum(nbytes for _, nbytes in touched)
+            cacheable = max(0.0, 1.0 - footprint / cpu.cache.capacity_bytes)
+            for key, nbytes in touched:
+                if not cpu.cache.touch(key, nbytes) and cacheable > 0.0:
+                    cache_extra += (
+                        (nbytes / cpu.line_bytes) * cpu.miss_penalty_us * cacheable
+                    )
+    scan = cpu.scan_us_per_block * cpu.assigned_blocks if ops else 0.0
+    return CompPhaseResult(
+        total_us=warm + cache_extra + scan,
+        warm_us=warm,
+        cache_us=cache_extra,
+        scan_us=scan,
+    )
+
+
 REFERENCE_SIMULATORS = {
     "standard": simulate_standard_reference,
     "worstcase": simulate_worstcase_reference,
@@ -399,7 +436,8 @@ def reference_engine(tracer: Optional[Tracer] = None) -> Iterator[None]:
     the emulator's causal model (``repro.machine.emulator.simulate_causal``).
 
     The untraced GE entry points evaluate their predictions on the batch
-    kernel, which bypasses both lookups; a traced point takes the
+    kernel, and an untraced emulator replays its causal steps for their
+    clocks alone; both bypass these lookups.  A traced run takes the
     per-step path through them instead.  So the block runs under
     ``tracer``, or — when none is given — under a tracer that records no
     categories (nothing is buffered; tracing never changes a result).

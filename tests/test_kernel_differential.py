@@ -151,6 +151,25 @@ def test_emulator_bit_identical(trace, params, cost_model):
     assert fast_events == ref_events
 
 
+@pytest.mark.parametrize(
+    "trace,params,cost_model",
+    [c[1:] for c in TRACE_CASES],
+    ids=TRACE_IDS,
+)
+def test_untraced_emulator_bit_identical(trace, params, cost_model):
+    """Untraced, the emulator replays each causal step without events."""
+    clear_all_caches()
+    with reference_engine():
+        ref = MachineEmulator(params=params, cost_model=cost_model, seed=3).run(trace)
+    clear_all_caches()
+    fast = MachineEmulator(params=params, cost_model=cost_model, seed=3).run(trace)
+    assert repr(fast.total_us) == repr(ref.total_us)
+    assert repr(fast.per_proc_total_us) == repr(ref.per_proc_total_us)
+    assert repr(fast.per_proc_comp_us) == repr(ref.per_proc_comp_us)
+    assert repr(fast.per_proc_cache_us) == repr(ref.per_proc_cache_us)
+    assert repr(fast.per_proc_local_us) == repr(ref.per_proc_local_us)
+
+
 def test_ge_point_summary_bit_identical():
     """The full point pipeline (predictions + emulator) round-trips."""
     with reference_engine():
