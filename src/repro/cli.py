@@ -7,8 +7,8 @@ Subcommands
 ``predict``    predict a GE configuration (both algorithms + emulated run)
 ``sweep``      block-size sweep for GE, with optimum report (Figure 7);
                ``--workers auto`` (default) self-tunes the execution
-               strategy, ``--workers N`` forces the legacy process pool,
-               ``--executor auto|serial|thread|process`` overrides, and
+               strategy, ``--workers N`` skips it (1: serial, N > 1: a
+               pool of N), ``--executor auto|serial|process`` overrides, and
                ``--store DIR --resume`` makes interrupted sweeps restart
                where they stopped (see :mod:`repro.sweep`)
 ``uq``         Monte Carlo uncertainty bands around the sweep: seeded
@@ -106,7 +106,7 @@ from .obs import (
     write_merged_trace,
     write_shard,
 )
-from .sweep import expand_grid, run_sweep
+from .sweep import EXECUTORS, expand_grid, run_sweep
 from .trace.serialization import save_trace
 
 __all__ = ["main", "build_parser"]
@@ -196,16 +196,13 @@ def _workers_arg(value: str):
 def _resolve_executor(args: argparse.Namespace):
     """``(workers, executor)`` for :func:`run_sweep` from the CLI flags.
 
-    An explicit ``--workers N`` without ``--executor`` keeps the legacy
-    contract (N alone picks serial vs process pool); ``--workers auto``
-    — the default — hands the choice to the self-tuning executor.
+    ``--workers auto`` (the default) means no width cap and, unless
+    ``--executor`` says otherwise, the self-tuning executor; an integer
+    passes through for :func:`run_sweep` to resolve.
     """
-    workers, executor = args.workers, args.executor
-    if executor is not None:
-        return (None if workers == "auto" else workers), executor
-    if workers == "auto":
-        return None, "auto"
-    return workers, None
+    if args.workers == "auto":
+        return None, args.executor or "auto"
+    return args.workers, args.executor
 
 
 def _add_sweep_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -213,16 +210,15 @@ def _add_sweep_engine_args(parser: argparse.ArgumentParser) -> None:
     grp = parser.add_argument_group("sweep engine")
     grp.add_argument(
         "-w", "--workers", type=_workers_arg, default="auto",
-        help="worker processes: an integer (1 = in-process serial, the "
-             "reference engine; N > 1 = process pool) or 'auto' (default: "
-             "let the calibrated executor decide)",
+        help="worker processes: an integer (without --executor, 1 runs "
+             "serial in-process and N > 1 a process pool of N) or 'auto' "
+             "(default: let the calibrated executor decide)",
     )
     grp.add_argument(
-        "--executor", choices=("auto", "serial", "thread", "process"),
-        default=None,
-        help="execution strategy (default: auto when --workers is auto, "
-             "else the legacy workers-count behaviour); every strategy "
-             "is bit-identical — only wall time differs",
+        "--executor", choices=EXECUTORS, default=None,
+        help="execution strategy: serial, process, or auto (the default "
+             "when --workers is auto); every strategy is bit-identical — "
+             "only wall time differs",
     )
     grp.add_argument(
         "--store", metavar="DIR",
@@ -444,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per batch sweep (integer or 'auto')",
     )
     grp.add_argument(
-        "--executor", choices=("auto", "serial", "thread", "process"),
-        default=None, help="batch execution strategy (default: auto)",
+        "--executor", choices=EXECUTORS, default=None,
+        help="batch execution strategy (default: auto)",
     )
     p.add_argument(
         "--serve-manifests", metavar="DIR",

@@ -19,14 +19,12 @@ transient error never poisons the keyspace.
 
 Thread discipline
 -----------------
-The repo's :class:`~repro.obs.Tracer` is deliberately not thread-safe
-(``run_sweep`` refuses the thread executor under tracing for the same
-reason).  The serve layer therefore funnels *every* ambient-tracer
-emission through one internal lock: request threads take it only for
-their two per-request spans, and the batcher — whose batches are already
-serialised by its single worker thread — holds it across the whole
-grouped sweep so sweep-internal emissions never interleave with request
-spans.  Service statistics (tier tallies, latency quantiles) use plain
+The repo's :class:`~repro.obs.Tracer` is deliberately not thread-safe,
+so the serve layer funnels *every* ambient-tracer emission through one
+internal lock: request threads take it only for their two per-request
+spans, and the batcher — whose batches are already serialised by its
+single worker thread — holds it across the whole grouped sweep so
+sweep-internal emissions never interleave with request spans.  Service statistics (tier tallies, latency quantiles) use plain
 lock-protected counters and work with tracing disabled.
 
 The HTTP front-end is a stdlib ``ThreadingHTTPServer`` speaking JSON
@@ -60,14 +58,18 @@ from .protocol import SCHEMA, PredictRequest, ProtocolError, point_digest
 
 __all__ = ["ServeConfig", "PredictionService", "make_handler", "serve_http"]
 
+#: largest ``POST`` body read; a prediction request is a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class ServeConfig:
     """How one :class:`PredictionService` is wired.
 
     ``store_dir`` enables the store tier (``None``: memory + compute
-    only).  ``workers``/``executor`` are forwarded to each grouped sweep
-    (``executor="auto"`` rides the self-tuning executor).
+    only).  ``workers``/``executor`` are forwarded to each grouped sweep:
+    ``executor="auto"`` rides the self-tuning executor, and without an
+    executor ``workers > 1`` runs a process pool, anything else serial.
     ``manifest_dir`` enables per-request and per-batch run manifests.
     ``machine`` fills machine fields requests omit.
     """
@@ -590,13 +592,22 @@ class _ServeHandler(BaseHTTPRequestHandler):
     #: response on a kept-alive connection
     disable_nagle_algorithm = True
 
-    def _reply(self, code: int, doc: dict) -> None:
+    def _reply(self, code: int, doc: dict, close: bool = False) -> None:
         body = json.dumps(doc).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends keep-alive
         self.end_headers()
         self.wfile.write(body)
+
+    def _reply_error(self, code: int, error: str, close: bool = False) -> None:
+        self._reply(
+            code,
+            {"schema": SCHEMA, "status": "error", "code": code, "error": error},
+            close=close,
+        )
 
     def _reply_text(self, code: int, text: str, content_type: str) -> None:
         body = text.encode()
@@ -608,35 +619,37 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         # drain the body before routing: an unread body would be parsed
-        # as the next request line by the keep-alive loop
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
+        # as the next request line by the keep-alive loop.  A body that
+        # cannot be drained — chunked, bad or oversized length — ends the
+        # connection.
+        if "Transfer-Encoding" in self.headers:
+            self._reply_error(
+                411, "send the body with a Content-Length", close=True
+            )
+            return
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._reply_error(
+                400, f"bad Content-Length {declared!r}", close=True
+            )
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._reply_error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                close=True,
+            )
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         if self.path != "/v1/predict":
-            self._reply(
-                404,
-                {
-                    "schema": SCHEMA,
-                    "status": "error",
-                    "code": 404,
-                    "error": f"unknown path {self.path!r}",
-                },
-            )
+            self._reply_error(404, f"unknown path {self.path!r}")
             return
         try:
             doc = json.loads(raw or b"null")
         except ValueError as exc:
-            self._reply(
-                400,
-                {
-                    "schema": SCHEMA,
-                    "status": "error",
-                    "code": 400,
-                    "error": f"request body is not JSON: {exc}",
-                },
-            )
+            self._reply_error(400, f"request body is not JSON: {exc}")
             return
         response = self.service.handle(doc)
         code = 200 if response.get("status") == "ok" else int(response.get("code", 500))
@@ -653,15 +666,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         else:
-            self._reply(
-                404,
-                {
-                    "schema": SCHEMA,
-                    "status": "error",
-                    "code": 404,
-                    "error": f"unknown path {self.path!r}",
-                },
-            )
+            self._reply_error(404, f"unknown path {self.path!r}")
 
     def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib API
         pass  # request logging goes through the tracer, not stderr

@@ -21,12 +21,12 @@ Quick start::
         print(point.describe(), summary.pred_standard_total)
 
 The CLI front-end is ``python -m repro sweep [--workers auto|N]
-[--executor auto|serial|thread|process] [--store DIR --resume]``; the
+[--executor auto|serial|process] [--store DIR --resume]``; the
 differential test suite pins ``run_sweep`` results to the serial
-:func:`repro.core.predictor.run_ge_point` bit for bit, under every
-executor.  ``--workers auto`` (the default) lets a calibrated cost
-model of the sweep itself choose the strategy — see
-:mod:`repro.sweep.executor`.
+:func:`repro.core.predictor.run_ge_point` bit for bit, under both
+strategies.  ``--workers auto`` (the default) lets a calibrated cost
+model of the sweep itself choose between in-process serial and the
+process pool — see :mod:`repro.sweep.executor`.
 """
 
 from .batch import BatchItem, BatchResult, run_point_batch

@@ -97,8 +97,7 @@ def run_point_batch(
         persistence (every item then reports ``"computed"``).
     workers, executor:
         Forwarded to :func:`run_sweep` per group (``executor="auto"``
-        rides the self-tuning executor; ``None``/``None`` keeps the
-        serial reference path).
+        rides the self-tuning executor; ``None``/``None`` runs serial).
     """
     items = list(items)
     if not items:

@@ -7,29 +7,21 @@ time (interpreter spawn, module import, argument pickling) that only
 pays off when the simulation work dwarfs it — ``BENCH_sweep.json`` once
 recorded a 4-worker sweep at **0.87x** of serial on a 1-CPU host
 because nobody predicted that cost.  So the executor calibrates a cost
-model of the sweep itself and *predicts* the best strategy:
+model of the sweep itself and *predicts* which of two strategies wins:
 
 ``serial``
     Evaluate in-process through the vectorized batch kernel.  Zero
-    dispatch overhead; always the floor the others must beat.
-``thread``
-    A thread pool sharing the process's cost memos.  Python's GIL
-    serialises the simulation bytecode, so threads mostly overlap the
-    store's file I/O and advisory-lock waits — worthwhile for
-    store-backed grids of cheap points, where process spawn costs more
-    than the whole grid.
+    dispatch overhead; always the floor the pool must beat.
 ``process``
-    The classic pool: linear CPU scaling for grids whose estimated
+    A process pool: linear CPU scaling for grids whose estimated
     serial time clearly exceeds spawn+pickle overhead.
 
 Inputs to the decision: the measured pool spawn overhead (once per
 process, ~tens of milliseconds with fork, ~seconds with spawn), the
 per-point cost estimate calibrated by the memo layer
 (:func:`repro.kernel.memo.estimate_point_cost` — an EWMA over observed
-evaluations, probed on the first point when cold), the host's CPU
-count, and whether tracing is active (the tracer is process-global, so
-thread workers cannot trace independently: traced sweeps never run the
-thread strategy).
+evaluations, probed on the first point when cold) and the host's CPU
+count.
 
 Every decision is returned as an :class:`ExecutorDecision` and recorded
 in the run manifest and the ``sweep.decide`` trace span, so a surprising
@@ -42,8 +34,9 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..kernel.memo import estimate_point_cost, point_weight
 from ..obs import get_tracer
@@ -58,9 +51,9 @@ __all__ = [
 ]
 
 #: accepted ``--executor`` values (``auto`` resolves to one of the rest)
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
-#: grids estimated cheaper than this never leave the main thread: even a
+#: grids estimated cheaper than this never leave the main process: even a
 #: forked pool costs a few tens of milliseconds plus per-chunk pickling
 MIN_PARALLEL_S = 0.5
 
@@ -74,7 +67,7 @@ PROCESS_ADVANTAGE = 0.85
 class ExecutorDecision:
     """One executor choice and the numbers that produced it."""
 
-    #: the strategy that will run: ``serial`` | ``thread`` | ``process``
+    #: the strategy that will run: ``serial`` | ``process``
     executor: str
     #: what the caller asked for (``auto`` or a forced strategy)
     requested: str
@@ -114,9 +107,10 @@ def measure_spawn_overhead(mp_context: Optional[str] = None) -> float:
 
     This is the fixed cost a process-pool sweep pays before any point
     computes (interpreter fork/spawn, module import, first-task
-    round-trip).  Measured once per process per start method and
-    cached; ``REPRO_SPAWN_OVERHEAD_S`` overrides the measurement (CI
-    and the regression tests pin it for determinism).
+    round-trip), timed on the executor class the sweep's pool uses.
+    Measured once per process per start method and cached;
+    ``REPRO_SPAWN_OVERHEAD_S`` overrides the measurement (CI and the
+    regression tests pin it for determinism).
     """
     override = os.environ.get("REPRO_SPAWN_OVERHEAD_S")
     if override is not None:
@@ -127,8 +121,8 @@ def measure_spawn_overhead(mp_context: Optional[str] = None) -> float:
             return cached
     ctx = multiprocessing.get_context(mp_context)
     t0 = time.perf_counter()
-    with ctx.Pool(processes=1) as pool:
-        pool.map(_pool_probe, [None])
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        pool.submit(_pool_probe, None).result()
     overhead = time.perf_counter() - t0
     with _SPAWN_LOCK:
         _SPAWN_CACHE[mp_context] = overhead
@@ -152,7 +146,7 @@ def estimate_grid_cost(points: Sequence) -> Optional[float]:
     return total
 
 
-def grid_weight(points: Sequence) -> float:
+def grid_weight(points: Iterable) -> float:
     """Total relative weight of a grid (for apportioning observations)."""
     return sum(point_weight(p.n, p.b, p.with_measured) for p in points)
 
@@ -162,17 +156,16 @@ def decide_executor(
     requested: str,
     workers: Optional[int],
     *,
-    traced: bool = False,
-    store_attached: bool = False,
     mp_context: Optional[str] = None,
     cpu_count: Optional[int] = None,
 ) -> ExecutorDecision:
     """Choose how to execute ``points`` (the pending, uncached grid).
 
     ``requested`` is one of :data:`EXECUTORS`; a forced strategy is
-    honoured (validated against impossibilities), ``auto`` runs the cost
-    model.  ``workers`` caps the pool width; ``None`` lets the decision
-    use every available CPU.
+    honoured, ``auto`` runs the cost model.  The pool is ``workers``
+    wide (``None``: every available CPU) and never wider than the
+    number of pending points; ``auto`` also never plans more workers
+    than CPUs.
     """
     if requested not in EXECUTORS:
         raise ValueError(
@@ -183,31 +176,16 @@ def decide_executor(
     get_tracer().count(f"sweep.executor.requested.{requested}")
     cpus = cpu_count if cpu_count is not None else available_cpus()
     n_pts = len(points)
-    cap = workers if workers is not None and workers > 0 else cpus
-    pool_workers = max(1, min(cap, cpus, max(n_pts, 1)))
+    width = workers if workers is not None and workers > 0 else cpus
+    width = max(1, min(width, n_pts))
 
-    if requested == "thread" and traced:
-        raise ValueError(
-            "executor 'thread' cannot run under an enabled tracer: the "
-            "tracer is process-global; use 'serial' or 'process'"
-        )
-    if requested == "serial":
+    if requested != "auto":
         return ExecutorDecision(
-            executor="serial", requested=requested, workers=1,
-            reason="forced by caller", cpu_count=cpus,
-        )
-    if requested == "thread":
-        return ExecutorDecision(
-            executor="thread", requested=requested, workers=pool_workers,
-            reason="forced by caller", cpu_count=cpus,
-        )
-    if requested == "process":
-        return ExecutorDecision(
-            executor="process", requested=requested, workers=pool_workers,
+            executor=requested, requested=requested,
+            workers=width if requested == "process" else 1,
             reason="forced by caller", cpu_count=cpus,
         )
 
-    # -- auto ---------------------------------------------------------------
     if n_pts <= 1:
         return ExecutorDecision(
             executor="serial", requested=requested, workers=1,
@@ -238,6 +216,7 @@ def decide_executor(
             ),
             cpu_count=cpus, est_total_s=est_total,
         )
+    pool_workers = min(width, cpus)
     spawn_s = measure_spawn_overhead(mp_context)
     t_process = spawn_s + est_total / pool_workers
     if t_process < PROCESS_ADVANTAGE * est_total:
@@ -246,19 +225,6 @@ def decide_executor(
             reason=(
                 f"pool predicted {t_process:.3f}s vs serial "
                 f"{est_total:.3f}s across {pool_workers} workers"
-            ),
-            cpu_count=cpus, est_total_s=est_total, spawn_overhead_s=spawn_s,
-        )
-    if store_attached and not traced:
-        # Mid-band: compute is GIL-bound either way, but threads overlap
-        # the store's file writes and advisory-lock waits at zero spawn
-        # cost, sharing the cost memos.
-        return ExecutorDecision(
-            executor="thread", requested=requested, workers=pool_workers,
-            reason=(
-                f"pool predicted {t_process:.3f}s vs serial "
-                f"{est_total:.3f}s: not worth spawning; threads overlap "
-                "store I/O with shared caches"
             ),
             cpu_count=cpus, est_total_s=est_total, spawn_overhead_s=spawn_s,
         )

@@ -7,10 +7,12 @@ runner executes the same grid across ``workers`` processes:
 * **Self-tuning execution.**  With ``executor="auto"`` the runner
   predicts the grid's serial cost from the memo layer's calibrated
   point-cost model (probing one point when cold), measures the pool
-  spawn overhead once, and picks vectorized-serial, a thread pool
-  (shared cost memos), or the process pool — recording the
-  decision in the stats (hence the run manifest) and a ``sweep.decide``
-  span.  See :mod:`repro.sweep.executor`.
+  spawn overhead once, and picks vectorized-serial or the process pool
+  — recording the decision in the stats (hence the run manifest) and a
+  ``sweep.decide`` span.  See :mod:`repro.sweep.executor`.
+* **One evaluator.**  The serial arm, the cold probe and every pool
+  worker evaluate their points through :func:`_evaluate_chunk`: the SoA
+  batch kernel when untraced, point by point when traced.
 * **Chunked scheduling.**  Pending points are split into contiguous
   chunks (default: ~4 chunks per worker) dispatched to a process pool as
   workers free up, so a few slow points (large ``b``, measured runs)
@@ -37,24 +39,26 @@ import hashlib
 import json
 import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
-from ..core.predictor import summarize_ge_point, summarize_uq_point
+from ..core.predictor import summarize_uq_point
 from ..experiments import ExperimentStore, PointSummary
 from ..kernel.memo import observe_point_cost, point_weight
 from ..obs import TraceConfig, TraceContext, Tracer, get_tracer, tracing
 from ..obs.telemetry import write_shard
 from ..uq.spec import UQSpec
 from .executor import (
+    EXECUTORS,
     ExecutorDecision,
     available_cpus,
     decide_executor,
     estimate_grid_cost,
+    grid_weight,
 )
 from .points import SweepPoint
 
@@ -77,7 +81,7 @@ class SweepStats:
     workers: int
     chunks: int
     wall_s: float = 0.0
-    #: strategy that ran the pending points: serial | thread | process
+    #: strategy that ran the pending points: serial | process
     executor: str = "serial"
     #: the :class:`~repro.sweep.executor.ExecutorDecision` that picked it
     #: (None when nothing was pending)
@@ -110,6 +114,16 @@ class SweepResult:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _lookup(store: Optional[ExperimentStore], point: SweepPoint):
+    """The stored summary of ``point``; ``None`` without a store or on a miss."""
+    if store is None:
+        return None
+    return store.get(
+        point.n, point.b, point.layout,
+        seed=point.seed, with_measured=point.with_measured,
+    )
+
+
 def _evaluate_point(
     point: SweepPoint,
     params: LogGPParameters,
@@ -117,44 +131,26 @@ def _evaluate_point(
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec] = None,
 ) -> PointSummary:
-    """One point, through the store when there is one (compute + persist).
+    """One point: store get, compute on a miss, store put.
 
     With a UQ spec the point's seed selects a perturbed machine replicate
-    (:func:`repro.core.predictor.summarize_uq_point`); the store —
-    already keyed with the spec's tag — caches replicates like any other
-    point.
+    (:func:`repro.core.predictor.summarize_uq_point`, which takes the
+    exact deterministic path for ``None`` or an identity spec); the
+    store — already keyed with the spec's tag — caches replicates like
+    any other point.
     """
-    if uq is not None and not uq.is_identity():
-        hit = (
-            store.get(
-                point.n, point.b, point.layout,
-                seed=point.seed, with_measured=point.with_measured,
-            )
-            if store is not None
-            else None
-        )
-        if hit is not None:
-            return hit
-        summary = PointSummary(
-            **summarize_uq_point(
-                point.n, point.b, point.layout, params, cost_model, uq,
-                with_measured=point.with_measured, seed=point.seed,
-            )
-        )
-        if store is not None:
-            store.put(summary, with_measured=point.with_measured)
-        return summary
-    if store is not None:
-        return store.point(
-            point.n, point.b, point.layout,
-            seed=point.seed, with_measured=point.with_measured,
-        )
-    return PointSummary(
-        **summarize_ge_point(
-            point.n, point.b, point.layout, params, cost_model,
+    hit = _lookup(store, point)
+    if hit is not None:
+        return hit
+    summary = PointSummary(
+        **summarize_uq_point(
+            point.n, point.b, point.layout, params, cost_model, uq,
             with_measured=point.with_measured, seed=point.seed,
         )
     )
+    if store is not None:
+        store.put(summary, with_measured=point.with_measured)
+    return summary
 
 
 def _evaluate_chunk(
@@ -164,18 +160,34 @@ def _evaluate_chunk(
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec],
 ) -> list[tuple[int, PointSummary]]:
-    """``(index, summary)`` pairs of one untraced chunk.
+    """``(index, summary)`` pairs of one chunk, in chunk order.
 
-    The whole chunk goes through the SoA batch evaluator, same as the
-    serial batch branch — per-point width-1 lanes would forfeit the
-    kernel's cross-point win.
+    The one evaluator behind the serial arm, the cold probe and every
+    pool worker.  Untraced, the whole chunk goes through the SoA batch
+    evaluator — per-point width-1 lanes would forfeit the kernel's
+    cross-point win.  Traced, points go one by one through
+    :func:`_evaluate_point`, so each point's store get, compute and put
+    stay interleaved and the event stream is the same whichever process
+    runs the chunk.  Either way every evaluation calibrates the
+    executor's point-cost model.
+
+    A batch is all-or-nothing, so a failed one is redone point by point:
+    every point before the failing one is persisted for a resumed run,
+    and the failure surfaces from its own point.
     """
-    collected: list[tuple[int, PointSummary]] = []
-    _evaluate_pending_batch(
-        indexed, params, cost_model, store, uq,
-        lambda idx, point, summary: collected.append((idx, summary)),
-    )
-    return collected
+    if not get_tracer().enabled:
+        try:
+            return _evaluate_pending_batch(indexed, params, cost_model, store, uq)
+        except Exception:  # noqa: BLE001 - re-raised by the point that fails
+            pass
+    results: list[tuple[int, PointSummary]] = []
+    for idx, point in indexed:
+        t0 = time.perf_counter()
+        results.append((idx, _evaluate_point(point, params, cost_model, store, uq)))
+        observe_point_cost(
+            point.n, point.b, point.with_measured, time.perf_counter() - t0
+        )
+    return results
 
 
 def _run_chunk(payload):
@@ -230,10 +242,7 @@ def _run_chunk(payload):
             chunk=chunk_no,
             points=len(indexed),
         ):
-            results = [
-                (idx, _evaluate_point(point, params, cost_model, store, uq))
-                for idx, point in indexed
-            ]
+            results = _evaluate_chunk(indexed, params, cost_model, store, uq)
     if shard_path is not None:
         write_shard(
             shard_path, tracer,
@@ -270,7 +279,7 @@ def _weight_chunks(
     absorb-in-chunk-order invariant (and result reassembly) is untouched;
     with uniform weights this degrades to exactly the equal-count split.
     """
-    total = sum(point_weight(p.n, p.b, p.with_measured) for _, p in pending)
+    total = grid_weight(p for _, p in pending)
     if total <= 0.0 or target_chunks <= 1:
         return [list(pending)]
     goal = total / target_chunks
@@ -302,47 +311,29 @@ def _evaluate_pending_batch(
     cost_model: CostModel,
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec],
-    finish_point,
-) -> int:
-    """Serial evaluation through the vectorized batch kernel.
+) -> list[tuple[int, PointSummary]]:
+    """Untraced chunk evaluation through the vectorized batch kernel.
 
     Mirrors :func:`_evaluate_point` exactly — per point: store get,
     compute on miss, store put — but computes the misses together via
     :func:`repro.kernel.vector.evaluate_ge_points_batch`, so replicate
     lanes sharing a configuration advance in lockstep over one compiled
-    plan.  Results are emitted in pending order, and the measured wall
-    time calibrates the executor's point-cost model.  Untraced sweeps
-    only.  Returns the number of batch calls made (chunk count).
+    plan.  Results come back in ``pending`` order, and the measured wall
+    time calibrates the executor's point-cost model.
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
-    results: dict[int, PointSummary] = {}
-    misses: list[tuple[int, SweepPoint]] = []
-    for idx, point in pending:
-        hit = (
-            store.get(
-                point.n, point.b, point.layout,
-                seed=point.seed, with_measured=point.with_measured,
-            )
-            if store is not None
-            else None
-        )
-        if hit is not None:
-            results[idx] = hit
-        else:
-            misses.append((idx, point))
+    results = {idx: _lookup(store, point) for idx, point in pending}
+    misses = [(idx, point) for idx, point in pending if results[idx] is None]
     if misses:
+        miss_points = [pt for _, pt in misses]
         t0 = time.perf_counter()
-        summaries = evaluate_ge_points_batch(
-            [pt for _, pt in misses], params, cost_model, uq=uq
-        )
+        summaries = evaluate_ge_points_batch(miss_points, params, cost_model, uq=uq)
         elapsed = time.perf_counter() - t0
         # Apportion the batch's wall time across its points by weight:
         # each observation then carries the batch's mean rate, which is
         # what the executor's EWMA wants to track.
-        total_w = sum(
-            point_weight(pt.n, pt.b, pt.with_measured) for _, pt in misses
-        )
+        total_w = grid_weight(miss_points)
         rate = elapsed / total_w if total_w > 0.0 else 0.0
         for (idx, point), summary_dict in zip(misses, summaries):
             summary = PointSummary(**summary_dict)
@@ -353,9 +344,7 @@ def _evaluate_pending_batch(
                 point.n, point.b, point.with_measured,
                 rate * point_weight(point.n, point.b, point.with_measured),
             )
-    for idx, point in pending:
-        finish_point(idx, point, results[idx])
-    return 1 if misses else 0
+    return [(idx, results[idx]) for idx, _ in pending]
 
 
 def run_sweep(
@@ -381,26 +370,23 @@ def run_sweep(
         The grid (see :func:`repro.sweep.expand_grid`); results come
         back in this order regardless of ``workers``.
     workers:
-        Process count.  ``<= 1`` runs in-process (no pool, no pickling)
-        — the reference path the differential tests compare against.
-        With ``executor`` set, ``workers`` merely caps the pool width
-        and may be ``None`` (use every available CPU).
+        Pool width (``None``: every available CPU).  Without an
+        ``executor`` it also picks the strategy: ``None`` or ``<= 1``
+        runs ``serial``, ``> 1`` runs ``process``.
     executor:
-        Execution strategy: ``None`` keeps the legacy behaviour (the
-        ``workers`` count alone decides serial vs process pool);
-        ``"serial"`` / ``"thread"`` / ``"process"`` force a strategy;
-        ``"auto"`` lets the calibrated cost model choose (see
-        :mod:`repro.sweep.executor`).  Every strategy is bit-identical
-        — only wall time differs.
+        Execution strategy: ``"serial"`` (in-process, no pool, no
+        pickling) or ``"process"`` force one; ``"auto"`` lets the
+        calibrated cost model choose (see :mod:`repro.sweep.executor`).
+        Every strategy is bit-identical — only wall time differs.
     store:
         An :class:`ExperimentStore`, a directory for one, or ``None``
         (compute-only).  Workers persist what they compute.
     resume:
         With a store, short-circuit already-stored points before
-        dispatch.  ``False`` recomputes (and overwrites) everything.
+        dispatch.  ``False`` dispatches every point.
     chunk_size:
         Points per dispatched chunk (default: grid split into ~4 chunks
-        per worker).
+        per worker, balanced by point weight).
     progress:
         ``(done, total, point, source)`` callback, invoked once per
         point as its result lands (cached points first, then computed
@@ -420,17 +406,23 @@ def run_sweep(
         back for live absorption; stitch afterwards with ``repro
         trace-merge`` (see :mod:`repro.obs.telemetry`).  Ignored when
         untraced or when no process pool runs.
+
+    Raises
+    ------
+    concurrent.futures.process.BrokenProcessPool
+        A pool worker died abruptly (killed by a signal, out of memory):
+        the sweep fails instead of waiting for the lost chunk.  Points
+        finished before that stay in the store for a resumed run.
     """
     points = tuple(points)
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if executor is not None and executor not in ("auto", "serial", "thread", "process"):
+    if executor is None:
+        executor = "process" if workers is not None and workers > 1 else "serial"
+    if executor not in EXECUTORS:
         raise ValueError(
-            f"unknown executor {executor!r}; "
-            "expected auto, serial, thread or process"
+            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
         )
-    if executor is None and workers is None:
-        workers = 1
     if isinstance(store, (str, Path)):
         store = ExperimentStore(
             store, params, cost_model,
@@ -446,14 +438,7 @@ def run_sweep(
     # -- short-circuit stored points before any dispatch --------------------
     pending: list[tuple[int, SweepPoint]] = []
     for idx, point in enumerate(points):
-        hit = (
-            store.get(
-                point.n, point.b, point.layout,
-                seed=point.seed, with_measured=point.with_measured,
-            )
-            if (store is not None and resume)
-            else None
-        )
+        hit = _lookup(store, point) if resume else None
         if hit is not None:
             summaries[idx] = hit
             done += 1
@@ -464,114 +449,57 @@ def run_sweep(
     cached = done
     tracer.count("sweep.points_cached", cached)
 
-    def finish_point(idx: int, point: SweepPoint, summary: PointSummary) -> None:
+    def finish(results: list[tuple[int, PointSummary]]) -> None:
         nonlocal done
-        summaries[idx] = summary
-        done += 1
-        tracer.count("sweep.points_computed")
-        if progress is not None:
-            progress(done, total, point, "computed")
+        for idx, summary in results:
+            summaries[idx] = summary
+            done += 1
+            tracer.count("sweep.points_computed")
+            if progress is not None:
+                progress(done, total, points[idx], "computed")
 
     n_chunks = 0
     decision: Optional[ExecutorDecision] = None
+    if (
+        executor == "auto"
+        and len(pending) > 1
+        and available_cpus() > 1
+        and estimate_grid_cost([pt for _, pt in pending]) is None
+    ):
+        # Cold cost model: evaluate the *median-weight* pending point
+        # serially, timed, so the decision below runs calibrated.  The
+        # heaviest point would pay the grid's critical path before the
+        # pool even spawns; the lightest measures mostly fixed overhead
+        # and inflates the per-weight rate by orders of magnitude.
+        by_weight = sorted(
+            range(len(pending)),
+            key=lambda i: point_weight(
+                pending[i][1].n, pending[i][1].b, pending[i][1].with_measured,
+            ),
+        )
+        probe = [pending.pop(by_weight[len(by_weight) // 2])]
+        with tracer.span("sweep.probe", points=1):
+            probed = _evaluate_chunk(probe, params, cost_model, store, uq)
+        finish(probed)
     if pending:
-        if executor is None:
-            # Legacy contract: the workers count alone picks the strategy
-            # (CLI `--workers N` and every pre-executor caller).
-            legacy_serial = workers <= 1
-            decision = ExecutorDecision(
-                executor="serial" if legacy_serial else "process",
-                requested="legacy",
-                workers=1 if legacy_serial else min(workers, len(pending)),
-                reason=f"workers={workers} without an executor keeps the "
-                       "legacy strategy",
-                cpu_count=available_cpus(),
+        with tracer.span("sweep.decide", requested=executor, points=len(pending)):
+            decision = decide_executor(
+                [pt for _, pt in pending], executor, workers,
+                mp_context=mp_context,
             )
-        else:
-            if (
-                executor == "auto"
-                and len(pending) > 1
-                and available_cpus() > 1
-                and estimate_grid_cost([pt for _, pt in pending]) is None
-            ):
-                # Cold cost model: evaluate the *median-weight* pending
-                # point serially, timed, so the decision below runs
-                # calibrated.  The heaviest point would pay the grid's
-                # critical path before the pool even spawns; the lightest
-                # measures mostly fixed overhead and inflates the
-                # per-weight rate by orders of magnitude.
-                by_weight = sorted(
-                    range(len(pending)),
-                    key=lambda i: point_weight(
-                        pending[i][1].n, pending[i][1].b,
-                        pending[i][1].with_measured,
-                    ),
-                )
-                probe_pos = by_weight[len(by_weight) // 2]
-                probe_idx, probe_point = pending[probe_pos]
-                with tracer.span("sweep.probe", points=1):
-                    t0_probe = time.perf_counter()
-                    probe_summary = _evaluate_point(
-                        probe_point, params, cost_model, store, uq
-                    )
-                    probe_s = time.perf_counter() - t0_probe
-                observe_point_cost(
-                    probe_point.n, probe_point.b,
-                    probe_point.with_measured, probe_s,
-                )
-                finish_point(probe_idx, probe_point, probe_summary)
-                pending = pending[:probe_pos] + pending[probe_pos + 1:]
-            with tracer.span(
-                "sweep.decide", requested=executor, points=len(pending)
-            ):
-                decision = decide_executor(
-                    [pt for _, pt in pending], executor, workers,
-                    traced=tracer.enabled,
-                    store_attached=store is not None,
-                    mp_context=mp_context,
-                )
-            tracer.count(f"sweep.decision.{decision.executor}")
+        tracer.count(f"sweep.decision.{decision.executor}")
 
     if pending and decision.executor == "serial":
-        if not tracer.enabled and executor is not None:
-            n_chunks = _evaluate_pending_batch(
-                pending, params, cost_model, store, uq, finish_point
-            )
-        else:
-            with tracer.span("sweep.chunk", chunk=0, points=len(pending)):
-                for idx, point in pending:
-                    t0_point = time.perf_counter()
-                    summary = _evaluate_point(point, params, cost_model, store, uq)
-                    observe_point_cost(
-                        point.n, point.b, point.with_measured,
-                        time.perf_counter() - t0_point,
-                    )
-                    finish_point(idx, point, summary)
-            n_chunks = len(pending)
-    elif pending and decision.executor == "thread":
-        # Same chunking as the process pool, but the workers share this
-        # process's cost memos and store handle; results are
-        # applied on the main thread, so ordering logic is unchanged.
+        with tracer.span("sweep.chunk", chunk=0, points=len(pending)):
+            results = _evaluate_chunk(pending, params, cost_model, store, uq)
+        finish(results)
+        n_chunks = 1
+    elif pending:
         if chunk_size:
             chunks = list(_chunked(pending, chunk_size))
         else:
             chunks = _weight_chunks(pending, decision.workers * 4)
         n_chunks = len(chunks)
-        index_of = dict(pending)
-        with ThreadPoolExecutor(max_workers=decision.workers) as tpool:
-            futures = [
-                tpool.submit(_evaluate_chunk, c, params, cost_model, store, uq)
-                for c in chunks
-            ]
-            for future in as_completed(futures):
-                for idx, summary in future.result():
-                    finish_point(idx, index_of[idx], summary)
-    elif pending:
-        eff_workers = min(decision.workers, len(pending))
-        if chunk_size:
-            chunks = list(_chunked(pending, chunk_size))
-        else:
-            chunks = _weight_chunks(pending, eff_workers * 4)
         store_dir = str(store.directory) if store is not None else None
         trace_doc = tracer.config.to_dict() if tracer.enabled else None
         parent_ctx = getattr(tracer, "context", None) if tracer.enabled else None
@@ -583,29 +511,31 @@ def run_sweep(
         )
         if shard_dir is not None:
             shard_dir.mkdir(parents=True, exist_ok=True)
-
-        def _shard_path(chunk_no: int) -> Optional[str]:
-            if shard_dir is None:
-                return None
-            return str(shard_dir / f"shard-chunk-{chunk_no:04d}.jsonl")
-
-        payloads = [
-            (store_dir, params, cost_model, uq, trace_doc, ctx_doc, _shard_path(chunk_no), chunk_no, chunk)
-            for chunk_no, chunk in enumerate(chunks)
-        ]
-        n_chunks = len(payloads)
-        index_of = dict(pending)
         chunk_rows: list = [None] * n_chunks
         chunk_metrics: list = [None] * n_chunks
-        ctx = multiprocessing.get_context(mp_context)
-        with ctx.Pool(processes=eff_workers) as pool:
-            for chunk_no, chunk_result, rows, snap in pool.imap_unordered(
-                _run_chunk, payloads
-            ):
+        pool = ProcessPoolExecutor(
+            max_workers=decision.workers,
+            mp_context=multiprocessing.get_context(mp_context),
+        )
+        try:
+            futures = [
+                pool.submit(_run_chunk, (
+                    store_dir, params, cost_model, uq, trace_doc, ctx_doc,
+                    str(shard_dir / f"shard-chunk-{chunk_no:04d}.jsonl")
+                    if shard_dir is not None else None,
+                    chunk_no, chunk,
+                ))
+                for chunk_no, chunk in enumerate(chunks)
+            ]
+            for future in as_completed(futures):
+                chunk_no, chunk_result, rows, snap = future.result()
                 chunk_rows[chunk_no] = rows
                 chunk_metrics[chunk_no] = snap
-                for idx, summary in chunk_result:
-                    finish_point(idx, index_of[idx], summary)
+                finish(chunk_result)
+        finally:
+            # on failure, chunks not yet started are dropped; running
+            # ones finish and persist what they computed
+            pool.shutdown(cancel_futures=True)
         # Chunks are contiguous slices of ``pending`` in grid order, so
         # absorbing their event rows in chunk order reproduces exactly the
         # stream a serial sweep emits inline — completion order never shows.
@@ -622,15 +552,11 @@ def run_sweep(
 
     wall_s = time.perf_counter() - t0
     tracer.observe("sweep.wall_s", wall_s)
-    if executor is None:
-        stats_workers = max(1, workers)
-    else:
-        stats_workers = decision.workers if decision is not None else 1
     stats = SweepStats(
         total=total,
         cached=cached,
         computed=total - cached,
-        workers=stats_workers,
+        workers=decision.workers if decision is not None else 1,
         chunks=n_chunks,
         wall_s=wall_s,
         executor=decision.executor if decision is not None else "serial",

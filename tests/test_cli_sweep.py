@@ -130,7 +130,7 @@ class TestProgressAndChunking:
 class TestExecutorFlag:
     def test_executor_outputs_equal_legacy_serial(self, capsys):
         legacy = run_json([*BASE, "--workers", "1"], capsys)
-        for executor in ("serial", "thread", "process", "auto"):
+        for executor in ("serial", "process", "auto"):
             got = run_json([*BASE, "--executor", executor, "--workers", "2"],
                            capsys)
             assert got == legacy, executor
@@ -142,7 +142,7 @@ class TestExecutorFlag:
         assert main([*BASE, "--manifest-out", str(m)]) == 0
         capsys.readouterr()
         stats = json.loads(m.read_text())["extra"]["sweep"]
-        assert stats["executor"] in ("serial", "thread", "process")
+        assert stats["executor"] in ("serial", "process")
         decision = stats["decision"]
         assert decision["requested"] == "auto"
         assert decision["executor"] == stats["executor"]
@@ -171,16 +171,30 @@ class TestExecutorFlag:
         assert "--workers" in capsys.readouterr().err
 
     def test_bad_executor_value_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([*BASE, "--executor", "gpu", "--no-manifest"])
-        assert exc.value.code == 2
+        for value in ("gpu", "thread"):
+            with pytest.raises(SystemExit) as exc:
+                main([*BASE, "--executor", value, "--no-manifest"])
+            assert exc.value.code == 2
 
-    def test_legacy_workers_keeps_legacy_strategy(self, tmp_path, capsys):
+    def test_legacy_workers_keeps_legacy_strategy(self, tmp_path, capsys,
+                                                  monkeypatch):
         # explicit --workers N without --executor must not consult the
         # cost model: N alone picks serial vs process, as it always did
+        from repro.sweep import executor as executor_mod
+        from repro.sweep import runner as runner_mod
+
+        def _no_model(*args, **kwargs):
+            raise AssertionError("--workers N consulted the cost model")
+
+        monkeypatch.setattr(runner_mod, "estimate_grid_cost", _no_model)
+        monkeypatch.setattr(executor_mod, "estimate_grid_cost", _no_model)
+        monkeypatch.setattr(executor_mod, "measure_spawn_overhead", _no_model)
         m = tmp_path / "legacy.json"
         assert main([*BASE, "--workers", "2", "--manifest-out", str(m)]) == 0
         capsys.readouterr()
         stats = json.loads(m.read_text())["extra"]["sweep"]
-        assert stats["decision"]["requested"] == "legacy"
+        assert stats["decision"]["requested"] == "process"
+        assert stats["decision"]["reason"] == "forced by caller"
+        assert stats["decision"]["spawn_overhead_s"] is None
         assert stats["executor"] == "process"
+        assert stats["workers"] == 2

@@ -265,7 +265,7 @@ class TestExecutorDigests:
     def test_all_executors_match_reference(self):
         with reference_engine():
             ref = run_sweep(self.GRID, MEIKO_CS2, CM, workers=1).digest()
-        for executor in ("serial", "thread", "process", "auto"):
+        for executor in ("serial", "process", "auto"):
             clear_all_caches()
             result = run_sweep(
                 self.GRID, MEIKO_CS2, CM, executor=executor, workers=2

@@ -197,6 +197,65 @@ class TestHermeticHTTP:
             assert status == 400 and "not JSON" in doc["error"]
 
 
+class TestBodyBounds:
+    """A body the handler will not read gets one error and a closed
+    connection: on a kept-alive connection its bytes would otherwise be
+    parsed as the next request."""
+
+    BODY = json.dumps(DOC).encode()
+
+    @staticmethod
+    def post(service, value: str, body: bytes, header="Content-Length") -> bytes:
+        """Every byte the handler writes back on one connection."""
+        head = (
+            "POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+            f"{header}: {value}\r\n\r\n"
+        )
+        channel = _Channel(head.encode() + body)
+        make_handler(service)(channel, ("127.0.0.1", 0), None)
+        return channel.wf.getvalue()
+
+    @staticmethod
+    def assert_one_closing_error(response: bytes, code: int) -> dict:
+        assert response.startswith(f"HTTP/1.1 {code} ".encode())
+        assert response.count(b"HTTP/1.1 ") == 1  # the body never ran
+        assert b"\r\nConnection: close\r\n" in response
+        doc = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert doc["status"] == "error" and doc["code"] == code
+        return doc
+
+    def test_bad_content_length_is_400_and_closes(self, tmp_path):
+        with make_service(tmp_path) as service:
+            for length in ("-5", "abc", "1_0", "+12", ""):
+                response = self.post(service, length, self.BODY)
+                doc = self.assert_one_closing_error(response, 400)
+                assert "Content-Length" in doc["error"], length
+            assert service.stats()["requests"]["total"] == 0
+
+    def test_chunked_body_is_411_and_closes(self, tmp_path):
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self.BODY), self.BODY)
+        with make_service(tmp_path) as service:
+            response = self.post(
+                service, "chunked", chunked, header="Transfer-Encoding"
+            )
+            doc = self.assert_one_closing_error(response, 411)
+            assert "Content-Length" in doc["error"]
+            assert service.stats()["requests"]["total"] == 0
+
+    def test_oversized_body_is_413_and_closes(self, tmp_path):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        with make_service(tmp_path) as service:
+            response = self.post(service, str(MAX_BODY_BYTES + 1), self.BODY)
+            doc = self.assert_one_closing_error(response, 413)
+            assert str(MAX_BODY_BYTES) in doc["error"]
+            assert service.stats()["requests"]["total"] == 0
+            # a body of exactly the cap is read and answered
+            padded = self.BODY + b" " * (MAX_BODY_BYTES - len(self.BODY))
+            response = self.post(service, str(len(padded)), padded)
+            assert response.startswith(b"HTTP/1.1 200 ")
+
+
 class TestClient:
     def test_in_process_client(self, tmp_path):
         with make_service(tmp_path) as service:

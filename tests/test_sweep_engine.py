@@ -128,15 +128,15 @@ class TestStoreCoordination:
 
         computed = []
 
-        import repro.experiments as experiments
+        import repro.kernel.vector as vector
 
-        real = experiments.summarize_ge_point
+        real = vector.evaluate_ge_points_batch
 
-        def counting(n, b, layout, *args, **kwargs):
-            computed.append((layout, b))
-            return real(n, b, layout, *args, **kwargs)
+        def counting(points, *args, **kwargs):
+            computed.extend((p.layout, p.b) for p in points)
+            return real(points, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "summarize_ge_point", counting)
+        monkeypatch.setattr(vector, "evaluate_ge_points_batch", counting)
         result = run_sweep(GRID, PARAMS, CM, workers=1, store=store)
         assert result.stats.cached == 2
         assert result.stats.computed == 2

@@ -2,7 +2,7 @@
 
 Three properties pin the executor:
 
-1. **Bit-identity.**  Every strategy — serial, thread, process, auto —
+1. **Bit-identity.**  Every strategy — serial, process, auto —
    must produce the same ``results_sha256`` digest as a legacy serial
    sweep on the reference simulators (``tests/oracle.py``); strategies
    differ in wall time only.
@@ -40,7 +40,7 @@ from .oracle import reference_engine
 PARAMS = MEIKO_CS2
 CM = CalibratedCostModel()
 GRID = expand_grid(120, [20, 30], ["diagonal", "stripped"], with_measured=False)
-EXECUTORS = ("serial", "thread", "process", "auto")
+EXECUTORS = ("serial", "process", "auto")
 
 #: b value the exploding model detonates on — last in each layout's blocks,
 #: so earlier chunks complete (and persist) before the crash
@@ -115,15 +115,9 @@ class TestDigestsAcrossExecutors:
         assert decision["reason"] == "forced by caller"
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_sweep(GRID, PARAMS, CM, executor="gpu")
-
-    def test_thread_executor_rejected_under_tracer(self):
-        from repro.obs import Tracer, tracing
-
-        with tracing(Tracer()):
-            with pytest.raises(ValueError, match="thread"):
-                run_sweep(GRID, PARAMS, CM, executor="thread", workers=2)
+        for executor in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="executor"):
+                run_sweep(GRID, PARAMS, CM, executor=executor)
 
 
 class TestCrashMidChunkResume:
@@ -147,15 +141,16 @@ class TestCrashMidChunkResume:
 
     def test_partial_progress_persists_across_crash(self, tmp_path):
         # chunk_size=1 with the detonating b last per layout: surviving
-        # chunks persist their points before the crash surfaces.  The
-        # thread executor makes this deterministic — ThreadPoolExecutor
-        # shutdown waits for in-flight chunks, so both b=20 chunks land
-        # in the store (a process pool would terminate workers instead).
+        # chunks persist their points before the crash surfaces.  Both
+        # b=20 chunks are in flight before the first b=30 chunk can fail
+        # (the pool queues workers + 1 chunks at once), and the failing
+        # sweep's pool shutdown waits for in-flight chunks, so both land
+        # in the store.
         boom = ExplodingCostModel()
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(
                 GRID, PARAMS, boom,
-                executor="thread", workers=2, chunk_size=1,
+                executor="process", workers=2, chunk_size=1,
                 store=tmp_path,
             )
         store = ExperimentStore(tmp_path, PARAMS, CM)
@@ -186,7 +181,7 @@ class TestSingleCpuRegression:
             raise AssertionError("auto built a pool on a 1-CPU host")
 
         monkeypatch.setattr(runner_mod.multiprocessing, "get_context", _no_pool)
-        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", _no_pool)
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _no_pool)
         monkeypatch.setattr(
             executor_mod, "measure_spawn_overhead", _no_pool
         )
@@ -218,7 +213,7 @@ class TestSingleCpuRegression:
 
 class TestDecisionModel:
     def test_forced_strategies_honoured(self):
-        for requested in ("serial", "thread", "process"):
+        for requested in ("serial", "process"):
             decision = decide_executor(GRID, requested, 2, cpu_count=4)
             assert decision.executor == requested
             assert decision.requested == requested
@@ -244,25 +239,24 @@ class TestDecisionModel:
         assert decision.workers == 4
         assert decision.est_total_s > 1.0
 
-    def test_auto_thread_midband_with_store(self, monkeypatch):
-        # The thread band: grid worth running (est ~1s > 0.5s floor) but
-        # a pool that costs 2s to spawn cannot win at 2 workers — with a
-        # store attached, threads overlap its I/O at zero spawn cost.
+    def test_auto_thread_midband_with_store(self, monkeypatch, tmp_path):
+        # The mid-band: grid worth running (est ~1s > 0.5s floor) but a
+        # pool that costs 2s to spawn cannot win at 2 workers.  A store
+        # attached changes nothing: threads would only overlap its I/O
+        # with GIL-bound compute, so the sweep runs serial.
+        reference = _reference()
         monkeypatch.setenv("REPRO_SPAWN_OVERHEAD_S", "2.0")
+        monkeypatch.setattr(executor_mod, "available_cpus", lambda: 2)
+        monkeypatch.setattr(runner_mod, "available_cpus", lambda: 2)
         clear_cost_observations()
         observe_point_cost(120, 20, False, 0.36)
-        decision = decide_executor(
-            GRID, "auto", None, cpu_count=2, store_attached=True,
+        result = run_sweep(
+            GRID, PARAMS, CM, executor="auto", workers=None, store=tmp_path
         )
-        assert decision.executor == "thread"
-        assert "threads overlap" in decision.reason
-        assert decision.workers == 2
-        # same mid-band without a store: nothing to overlap, stay serial
-        decision = decide_executor(
-            GRID, "auto", None, cpu_count=2, store_attached=False,
-        )
-        assert decision.executor == "serial"
-        assert "spawn overhead eats the gain" in decision.reason
+        assert result.stats.executor == "serial"
+        assert result.stats.workers == 1
+        assert "spawn overhead eats the gain" in result.stats.decision["reason"]
+        assert result.digest() == reference.digest()
 
     def test_point_cost_calibration_converges(self):
         clear_cost_observations()
@@ -332,9 +326,7 @@ class TestDecisionRationale:
         monkeypatch.setenv("REPRO_SPAWN_OVERHEAD_S", "2.0")
         clear_cost_observations()
         observe_point_cost(120, 20, False, 0.36)
-        decision = decide_executor(
-            GRID, "auto", None, cpu_count=2, store_attached=False,
-        )
+        decision = decide_executor(GRID, "auto", None, cpu_count=2)
         assert decision.executor == "serial"
         assert "spawn overhead eats the gain" in decision.reason
 
@@ -342,18 +334,19 @@ class TestDecisionRationale:
         with pytest.raises(ValueError, match="unknown executor 'gpu'"):
             decide_executor(GRID, "gpu", None, cpu_count=4)
 
-    def test_decide_rejects_thread_under_tracer(self):
-        with pytest.raises(ValueError, match="process-global"):
-            decide_executor(GRID, "thread", 2, traced=True, cpu_count=4)
-
     def test_forced_worker_caps(self):
-        # a forced pool never exceeds the CPU count or the grid size
-        decision = decide_executor(GRID, "process", 64, cpu_count=2)
-        assert decision.workers == 2
+        # a forced pool is as wide as asked (every CPU when unset) and
+        # never wider than the grid; only auto also caps at the CPU count
+        decision = decide_executor(GRID, "process", 3, cpu_count=2)
+        assert decision.workers == 3
         decision = decide_executor(GRID[:2], "process", 64, cpu_count=8)
         assert decision.workers == 2
-        decision = decide_executor(GRID, "thread", None, cpu_count=3)
+        decision = decide_executor(GRID, "process", None, cpu_count=3)
         assert decision.workers == 3
+        clear_cost_observations()
+        observe_point_cost(120, 20, False, 5.0)
+        decision = decide_executor(GRID, "auto", 64, cpu_count=2)
+        assert (decision.executor, decision.workers) == ("process", 2)
 
 
 class TestSpawnMeasurement:
