@@ -63,10 +63,9 @@ LANE_B = 60
 
 
 def _grid_workload():
-    # The scalar baseline replicates run_ge_point's traced branch
-    # explicitly (ge_trace + RunningTimePredictor): untraced,
-    # summarize_ge_point itself routes through the batch kernel, which
-    # would compare batch against batch.
+    # The scalar baseline runs ProgramSimulator explicitly (ge_trace +
+    # RunningTimePredictor): summarize_ge_point itself routes through the
+    # batch kernel, which would compare batch against batch.
     from repro.core.predictor import (
         GERow,
         RunningTimePredictor,

@@ -2,9 +2,10 @@
 
 This is the layer the benchmarks, examples and integration tests use.  It
 wires together trace generation (:mod:`repro.apps`), the whole-program
-LogGP simulation (:mod:`repro.core.program_sim`, both the standard and the
-worst-case algorithm) and — optionally — the machine emulator standing in
-for the real Meiko CS-2 (:mod:`repro.machine.emulator`).
+LogGP simulation (:mod:`repro.core.program_sim`; GE points run it, both
+the standard and the worst-case algorithm, as the batch kernel's lanes in
+:mod:`repro.kernel.vector`) and — optionally — the machine emulator
+standing in for the real Meiko CS-2 (:mod:`repro.machine.emulator`).
 
 One :class:`GERow` is one point of Figures 7-9: a (block size, layout)
 pair with its predicted and "measured" breakdowns.  :func:`run_ge_sweep`
@@ -17,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..kernel.tracecache import ge_trace
 from ..layouts import LAYOUTS
 from ..machine.emulator import MachineEmulator, MeasuredReport
-from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .cache_extension import CachePredictionModel
 from .costmodel import CostModel
@@ -120,39 +119,23 @@ def run_ge_point(
     """
     if layout_name not in LAYOUTS:
         raise ValueError(f"unknown layout {layout_name!r}; known: {sorted(LAYOUTS)}")
-    if not get_tracer().enabled:
-        # Untraced: the batch kernel's width-1 lane, which runs the
-        # identical float-operation sequence over a compiled plan (the
-        # traced path below stays the sole source of the event stream).
-        from ..kernel.vector import ge_plan, simulate_programs_batch
+    from ..kernel.vector import ge_plan, simulate_programs_batch
 
-        plan = ge_plan(n, b, layout_name, params.P)
-        reports = simulate_programs_batch(plan, [(params, cost_model)], [seed])[0]
-        measured = None
-        if with_measured:
-            measured = _measured_report(
-                plan.trace, params, cost_model, seed, emulator=emulator
-            )
-        return GERow(
-            n=n,
-            b=b,
-            layout=layout_name,
-            pred_standard=reports["standard"],
-            pred_worstcase=reports["worstcase"],
-            measured=measured,
-        )
-    trace = ge_trace(n, b, layout_name, params.P)
-    predictor = RunningTimePredictor(params, cost_model, seed=seed)
-    pred_std, pred_wc = predictor.predict_both(trace)
+    # the batch kernel's width-1 lane: traced, it emits the same events a
+    # ProgramSimulator run of each engine would
+    plan = ge_plan(n, b, layout_name, params.P)
+    reports = simulate_programs_batch(plan, [(params, cost_model)], [seed])[0]
     measured = None
     if with_measured:
-        measured = _measured_report(trace, params, cost_model, seed, emulator=emulator)
+        measured = _measured_report(
+            plan.trace, params, cost_model, seed, emulator=emulator
+        )
     return GERow(
         n=n,
         b=b,
         layout=layout_name,
-        pred_standard=pred_std,
-        pred_worstcase=pred_wc,
+        pred_standard=reports["standard"],
+        pred_worstcase=reports["worstcase"],
         measured=measured,
     )
 
@@ -164,7 +147,7 @@ def _measured_report(
     seed: int,
     emulator: Optional[MachineEmulator] = None,
 ) -> MeasuredReport:
-    """The emulated "measured" run of one point (scalar and batch paths)."""
+    """The emulated "measured" run of one point."""
     if emulator is None:
         emulator = MachineEmulator(params=params, cost_model=cost_model, seed=seed)
     return emulator.run(trace)
@@ -179,9 +162,9 @@ def _uq_machine(
 ):
     """The perturbed ``(params, cost_model, emulator)`` of one UQ replicate.
 
-    Single source of the replicate's machine for the scalar
-    (:func:`summarize_uq_point`) and batch
-    (:func:`repro.kernel.vector.evaluate_ge_points_batch`) pipelines.
+    Single source of the replicate's machine for
+    :func:`summarize_uq_point` and
+    :func:`repro.kernel.vector.evaluate_ge_points_batch`.
     ``emulator`` is ``None`` unless the spec overrides the network (the
     default emulator is built later, against the perturbed machine).
     """
@@ -214,9 +197,9 @@ def summarize_ge_point(
 ) -> dict:
     """One GE point as a flat, JSON/pickle-ready dict of totals and breakdowns.
 
-    This is the picklable single-point entrypoint the parallel sweep
-    engine (:mod:`repro.sweep`) dispatches to worker processes, and the
-    single source of truth for flattening a :class:`GERow` into the shape
+    The one-point reference the sweep engine's batch evaluator
+    (:func:`repro.kernel.vector.evaluate_ge_points_batch`) matches bit
+    for bit; both flatten a :class:`GERow` into the shape
     :class:`repro.experiments.PointSummary` stores on disk.  The keys are
     exactly the ``PointSummary`` fields.
     """

@@ -2,11 +2,12 @@
 
 Running the full GE evaluation is expensive (minutes at paper scale), and
 a study typically revisits the same (n, b, layout, seed) points many
-times — from benchmarks, notebooks, the CLI and the parallel sweep engine
-(:mod:`repro.sweep`).  :class:`ExperimentStore` memoises
-:func:`repro.core.predictor.run_ge_point` results on disk as JSON, keyed
-by the full configuration, so repeated studies are free and interrupted
-sweeps resume where they stopped.
+times — from benchmarks, notebooks, the CLI and the prediction service.
+:class:`ExperimentStore` keeps GE point summaries on disk as JSON, keyed
+by the full configuration.  It never computes: the sweep engine
+(:func:`repro.sweep.run_sweep`, the one path that evaluates points)
+reads it before dispatch and writes every point it computes, so repeated
+studies are free and interrupted sweeps resume where they stopped.
 
 Stored values are *summaries* (totals and breakdowns, not per-event
 timelines), versioned with :data:`STORE_VERSION`; changing the underlying
@@ -38,7 +39,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 try:  # advisory locking is POSIX-only; the store degrades gracefully
     import fcntl
@@ -48,7 +49,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from .core.costmodel import CostModel
 from .core.fingerprint import machine_fingerprint
 from .core.loggp import LogGPParameters
-from .core.predictor import summarize_ge_point
 from .obs.events import get_tracer
 
 __all__ = ["STORE_VERSION", "PointSummary", "ExperimentStore"]
@@ -241,47 +241,7 @@ class ExperimentStore:
         """Whether a *readable* entry exists for this configuration."""
         return self.get(n, b, layout, seed=seed, with_measured=with_measured) is not None
 
-    # -- public API ---------------------------------------------------------
-    def point(
-        self,
-        n: int,
-        b: int,
-        layout: str,
-        seed: int = 0,
-        with_measured: bool = True,
-    ) -> PointSummary:
-        """The summary for one configuration, computing it on a miss."""
-        hit = self.get(n, b, layout, seed=seed, with_measured=with_measured)
-        if hit is not None:
-            return hit
-        summary = PointSummary(
-            **summarize_ge_point(
-                n, b, layout, self.params, self.cost_model,
-                with_measured=with_measured, seed=seed,
-            )
-        )
-        self.put(summary, with_measured=with_measured)
-        return summary
-
-    def sweep(
-        self,
-        n: int,
-        block_sizes: Sequence[int],
-        layouts: Sequence[str],
-        seed: int = 0,
-        with_measured: bool = True,
-    ) -> list[PointSummary]:
-        """A full sweep, point by point (resumable: hits are free).
-
-        Serial by construction; :func:`repro.sweep.run_sweep` runs the
-        same grid across worker processes sharing this store.
-        """
-        return [
-            self.point(n, b, layout, seed=seed, with_measured=with_measured)
-            for layout in layouts
-            for b in block_sizes
-        ]
-
+    # -- inspection -----------------------------------------------------------
     def cached_count(self) -> int:
         """Entries on disk for the current model fingerprint."""
         if not self.directory.exists():

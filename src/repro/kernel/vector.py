@@ -1,55 +1,58 @@
-"""Structure-of-arrays batch simulation: many sweep points per step.
+"""Batch simulation: many sweep points over one compiled program.
 
-The scalar fast kernel (:mod:`repro.kernel.fastsim`) removed per-operation
+The step simulators (:mod:`repro.kernel.fastsim`) removed per-operation
 interpreter overhead *within* one simulation; this module removes the
 overhead *between* simulations.  A sweep evaluates many lanes — every
 (point, engine) pair of a grid — over the same compiled program
-structure, and the per-step LogGP recurrences of those lanes are
-independent of each other.  So the batch simulator walks the program
-**step-major**: at each step it advances every lane at once,
+structure, so the batch evaluator works in two parts:
 
-* pricing the computation phase for all lanes in one vectorized pass
-  over a shared :class:`ProgramPlan` (the trace compiled once into flat
-  numpy index arrays, instead of re-traversed per lane per engine), and
-* pricing each lane's communication phase with the proven-bit-identical
-  scalar step simulators, fed from the plan's precompiled per-step
-  message patterns and participant lists.
+* a **computation fold**, step-major over all lanes at once: each
+  (step, processor) computation phase is one gather + one sequential
+  fold over a shared :class:`ProgramPlan` (the trace compiled once into
+  flat numpy index arrays, instead of re-traversed per lane per engine);
+* a **lane replay** that walks one (lane, mode) through the plan's
+  steps the way :meth:`repro.core.program_sim.ProgramSimulator.run`
+  does: it adds the folded computation phases to the clocks and prices
+  each communication step from the plan's precompiled message pattern
+  and participant list.
 
-Bit-identity discipline (enforced by ``tests/test_vector_property.py``
-and the differential oracle):
+This is the one GE evaluation path, traced or not.  Untraced, a replay
+runs the sink-free ``standard_step``/``worstcase_step``.  Traced, it
+emits what ``ProgramSimulator.run`` emits, on the same ``sim:<mode>``
+track: a ``compute`` slice per nonzero computation phase, each
+communication step through ``program_sim._SIMULATORS[mode]`` (looked up
+per replay, so an injected table — the differential oracle, a profiler —
+is reached), and the ``sim.program_steps``/``sim.program_runs``
+counters.  Lanes replay one after another (standard, then worst-case,
+then the point's emulator in :func:`evaluate_ge_points_batch`), so a
+traced batch emits the same point-major stream as the points one by one.
+
+Bit-identity discipline (enforced by ``tests/test_vector_property.py``,
+``tests/test_traced_batch_parity.py`` and the differential oracle):
 
 * The scalar reference folds computation costs left to right
   (``total += cost``).  The vectorized fold uses
   ``np.add.accumulate``, which is the identical sequential left-fold
   per lane — *never* ``np.sum``, whose pairwise reduction regroups the
   additions and changes low bits.
-* All lane state lives in float64 SoA arrays; values cross back into
-  the scalar world through ``.item()`` so every number the caller sees
-  is a plain Python float with the exact same bits.
-* Each lane owns its tie-break RNG (``default_rng(seed)``, consumed
-  only by that lane's communication phases in step order), so the draw
-  stream per lane is bit-equal to a standalone scalar run.
-* Cost models are assumed non-negative (every shipped model is), which
-  makes the unconditional vector add bit-equal to the reference's
-  ``if t:``-guarded add (``x + 0.0 == x`` for ``x >= 0.0``).
-
-The batch path steps aside whenever the ambient tracer is enabled — the
-traced per-step path stays the single source of the event stream, so
-the bit-exact trace exports are untouched.
+* Folded phases cross back into the scalar world through ``.tolist()``,
+  so the replay adds plain Python floats with the exact same bits.
+* Each (lane, mode) owns its tie-break RNG (``default_rng(seed)``,
+  consumed only by that replay's communication phases in step order),
+  so the draw stream per lane is bit-equal to a standalone scalar run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.des_check import simulate_causal
+from ..core import program_sim
 from ..core.loggp import LogGPParameters
 from ..core.program_sim import PredictionReport
-from ..core.standard_sim import simulate_standard
-from ..core.worstcase_sim import simulate_worstcase
+from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .fastsim import standard_step, worstcase_step
 from .memo import memoize
@@ -63,15 +66,9 @@ __all__ = [
     "evaluate_ge_points_batch",
 ]
 
-_SIMULATORS = {
-    "standard": simulate_standard,
-    "worstcase": simulate_worstcase,
-    "causal": simulate_causal,
-}
-
-#: the kernel steps run without an event sink (same clocks/busy/RNG, no
-#: CommEvent stream); the batch path is untraced by construction, so
-#: nothing needs the events
+#: the sink-free steps an untraced replay runs (same clocks/busy/RNG as
+#: ``program_sim._SIMULATORS``, no CommEvent stream); other modes, and
+#: every traced replay, go through ``program_sim._SIMULATORS``
 _LEAN_SIMULATORS = {
     "standard": standard_step,
     "worstcase": worstcase_step,
@@ -166,6 +163,128 @@ def _lane_cost_table(cost_model, op_table) -> list[float]:
     return [priced.cost(op, b) for op, b in op_table]
 
 
+def _fold_computation(plan: ProgramPlan, machines) -> list[list[tuple]]:
+    """Every lane's computation phases, folded step-major over all lanes.
+
+    Returns, per plan step, one ``(proc, ops, times)`` per processor with
+    work, where ``times[i]`` is lane ``i``'s phase time as a Python float.
+    The phases are engine-independent (same trace, same cost model, same
+    fold), so every mode of a lane replays the same list.
+    """
+    cost_lists = [_lane_cost_table(cm, plan.op_table) for _, cm in machines]
+    folds: list[list[tuple]] = []
+    if len(machines) == 1:
+        # width-1 specialisation: the same left-fold in plain Python
+        # floats (bit-equal adds, no array overhead)
+        table = cost_lists[0]
+        for pstep in plan.steps:
+            row = []
+            for proc, idx_list, _ in pstep.comp:
+                t = 0.0
+                for j in idx_list:
+                    t += table[j]
+                row.append((proc, len(idx_list), (t,)))
+            folds.append(row)
+        return folds
+    C = np.array(cost_lists, dtype=np.float64).T  # (op, lane)
+    for pstep in plan.steps:
+        row = []
+        for proc, idx_list, idx_arr in pstep.comp:
+            seq = C[idx_arr]  # (k, lanes)
+            # sequential left-fold per lane — NOT np.sum (pairwise)
+            t = seq[0] if len(idx_list) == 1 else np.add.accumulate(seq, axis=0)[-1]
+            row.append((proc, len(idx_list), t.tolist()))
+        folds.append(row)
+    return folds
+
+
+def _replay(
+    plan: ProgramPlan,
+    folds: list[list[tuple]],
+    lane: int,
+    mode: str,
+    params: LogGPParameters,
+    rng: np.random.Generator,
+) -> PredictionReport:
+    """Walk one (lane, mode) through the plan's steps.
+
+    :meth:`~repro.core.program_sim.ProgramSimulator.run`'s loop over
+    precomputed computation phases: the same clock arithmetic, and —
+    when the ambient tracer is enabled — the same events and counters.
+    """
+    tracer = get_tracer()
+    step_fn = None if tracer.enabled else _LEAN_SIMULATORS.get(mode)
+    simulate = program_sim._SIMULATORS[mode]
+    traced = tracer.enabled and tracer.wants("compute")
+    P = plan.num_procs
+    clocks = [0.0] * P
+    comp = [0.0] * P
+    comm_busy = [0.0] * P
+    with tracer.in_track(f"sim:{mode}"):
+        for step_idx, (pstep, row) in enumerate(zip(plan.steps, folds)):
+            for proc, ops, times in row:
+                t = times[lane]
+                if t:
+                    if traced:
+                        tracer.slice(
+                            "compute", proc=proc, ts=clocks[proc], dur=t,
+                            step=step_idx, ops=ops,
+                        )
+                    clocks[proc] += t
+                    comp[proc] += t
+            if pstep.pattern is None:
+                continue
+            starts = {p: clocks[p] for p in pstep.participants}
+            if step_fn is not None:
+                ctimes, busy = step_fn(params, pstep.pattern, starts, rng)
+            else:
+                result = simulate(params, pstep.pattern, start_times=starts, rng=rng)
+                ctimes, busy = result.ctimes, result.timeline.busy_times()
+            for p in pstep.participants:
+                comm_busy[p] += busy.get(p, 0.0)
+                clocks[p] = ctimes.get(p, clocks[p])
+    if tracer.enabled:
+        tracer.count("sim.program_steps", len(plan.steps))
+        tracer.count("sim.program_runs")
+    return PredictionReport(
+        total_us=max(clocks, default=0.0),
+        per_proc_comp_us=dict(enumerate(comp)),
+        per_proc_total_us=dict(enumerate(clocks)),
+        per_proc_comm_busy_us=dict(enumerate(comm_busy)),
+        steps=[],
+        meta=dict(plan.trace.meta),
+    )
+
+
+def _lane_reports(
+    plan: ProgramPlan,
+    machines: Sequence[tuple[LogGPParameters, object]],
+    seeds: Sequence[int],
+    modes: Sequence[str] = GE_MODES,
+    rngs: Optional[Sequence[dict]] = None,
+) -> Iterator[dict[str, PredictionReport]]:
+    """Fold every lane's computation, then yield each lane's reports.
+
+    Lanes replay lazily, in order, each mode in ``modes`` order, so a
+    caller can run per-lane work (the emulator) between two lanes.
+    """
+    if len(machines) != len(seeds):
+        raise ValueError(f"{len(machines)} machines but {len(seeds)} seeds")
+    for mode in modes:
+        if mode not in program_sim._SIMULATORS:
+            raise ValueError(f"unknown mode {mode!r}")
+    folds = _fold_computation(plan, machines)
+    for i, (params, _) in enumerate(machines):
+        yield {
+            mode: _replay(
+                plan, folds, i, mode, params,
+                rngs[i][mode] if rngs is not None
+                else np.random.default_rng(seeds[i]),
+            )
+            for mode in modes
+        }
+
+
 def simulate_programs_batch(
     plan: ProgramPlan,
     machines: Sequence[tuple[LogGPParameters, object]],
@@ -173,7 +292,7 @@ def simulate_programs_batch(
     modes: Sequence[str] = GE_MODES,
     rngs: Optional[Sequence[dict]] = None,
 ) -> list[dict[str, PredictionReport]]:
-    """Advance every (machine, mode) lane through the plan, step-major.
+    """Simulate every (machine, mode) lane over the plan.
 
     Parameters
     ----------
@@ -187,114 +306,17 @@ def simulate_programs_batch(
         from its own ``default_rng(seed)``, exactly like a standalone
         :class:`~repro.core.program_sim.ProgramSimulator` run.
     modes:
-        The engines to advance per point (default: the ``predict_both``
+        The engines to run per point (default: the ``predict_both``
         pair).
     rngs:
         Optional pre-seeded generators, one ``{mode: Generator}`` dict
         per point lane (the RNG-stream equivalence tests inject these).
 
     Returns one ``{mode: PredictionReport}`` dict per point lane, each
-    report bit-identical to the corresponding scalar simulation.
+    report (and, traced, each event) identical to the corresponding
+    scalar simulation.
     """
-    n_pts = len(machines)
-    if n_pts != len(seeds):
-        raise ValueError(f"{n_pts} machines but {len(seeds)} seeds")
-    for mode in modes:
-        if mode not in _SIMULATORS:
-            raise ValueError(f"unknown mode {mode!r}")
-    P = plan.num_procs
-
-    # SoA lane state: one (P, n_pts) array per mode for the diverging
-    # clocks, one shared comp array (computation phases are engine-
-    # independent: same trace, same cost model, same fold).
-    cost_lists = [_lane_cost_table(cm, plan.op_table) for _, cm in machines]
-    C = (
-        np.array(cost_lists, dtype=np.float64).T
-        if plan.op_table
-        else np.zeros((0, n_pts), dtype=np.float64)
-    )
-    comp = np.zeros((P, n_pts), dtype=np.float64)
-    clocks = {mode: np.zeros((P, n_pts), dtype=np.float64) for mode in modes}
-    comm_busy = {mode: np.zeros((P, n_pts), dtype=np.float64) for mode in modes}
-    lane_rngs = [
-        {mode: rngs[i][mode] for mode in modes}
-        if rngs is not None
-        else {mode: np.random.default_rng(seeds[i]) for mode in modes}
-        for i in range(n_pts)
-    ]
-
-    single = n_pts == 1
-    table0 = cost_lists[0] if single and cost_lists else ()
-
-    for pstep in plan.steps:
-        # -- computation phase: one fold per (step, proc), all lanes ----
-        for proc, idx_list, idx_arr in pstep.comp:
-            if single:
-                # width-1 specialisation: the same left-fold in plain
-                # Python floats (bit-equal adds, no array overhead)
-                t = 0.0
-                for j in idx_list:
-                    t += table0[j]
-                comp[proc, 0] += t
-                for mode in modes:
-                    clocks[mode][proc, 0] += t
-            else:
-                seq = C[idx_arr]  # (k, n_pts)
-                if len(idx_list) == 1:
-                    t = seq[0]
-                else:
-                    # sequential left-fold per lane — NOT np.sum (pairwise)
-                    t = np.add.accumulate(seq, axis=0)[-1]
-                comp[proc] += t
-                for mode in modes:
-                    clocks[mode][proc] += t
-
-        # -- communication phase: scalar proven-identical sims per lane --
-        if pstep.pattern is None:
-            continue
-        participants = pstep.participants
-        for mode in modes:
-            lean = _LEAN_SIMULATORS.get(mode)
-            simulate = _SIMULATORS[mode]
-            cl = clocks[mode]
-            cb = comm_busy[mode]
-            for i in range(n_pts):
-                starts = {p: cl[p, i].item() for p in participants}
-                if lean is not None:
-                    ctimes, busy = lean(
-                        machines[i][0], pstep.pattern, starts, lane_rngs[i][mode]
-                    )
-                else:
-                    result = simulate(
-                        machines[i][0], pstep.pattern,
-                        start_times=starts, rng=lane_rngs[i][mode],
-                    )
-                    busy = result.timeline.busy_times()
-                    ctimes = result.ctimes
-                for p in participants:
-                    cb[p, i] += busy.get(p, 0.0)
-                    cl[p, i] = ctimes.get(p, cl[p, i].item())
-
-    meta = dict(plan.trace.meta)
-    out: list[dict[str, PredictionReport]] = []
-    for i in range(n_pts):
-        reports = {}
-        for mode in modes:
-            cl = clocks[mode]
-            reports[mode] = PredictionReport(
-                total_us=max(
-                    (cl[p, i].item() for p in range(P)), default=0.0
-                ),
-                per_proc_comp_us={p: comp[p, i].item() for p in range(P)},
-                per_proc_total_us={p: cl[p, i].item() for p in range(P)},
-                per_proc_comm_busy_us={
-                    p: comm_busy[mode][p, i].item() for p in range(P)
-                },
-                steps=[],
-                meta=dict(meta),
-            )
-        out.append(reports)
-    return out
+    return list(_lane_reports(plan, machines, seeds, modes, rngs))
 
 
 def evaluate_ge_points_batch(
@@ -307,12 +329,14 @@ def evaluate_ge_points_batch(
 
     ``points`` is a sequence of :class:`repro.sweep.SweepPoint`-shaped
     objects (``n``, ``b``, ``layout``, ``seed``, ``with_measured``).
-    Points are grouped by configuration; each group's prediction lanes
-    advance together over one compiled plan, then the (inherently
-    sequential, stateful) machine emulator prices the ``with_measured``
-    points one by one — through exactly the code path the scalar
-    pipeline uses, so every flat summary dict is bit-identical to its
-    ``summarize_ge_point`` / ``summarize_uq_point`` counterpart.
+    Points are grouped by configuration; each group's computation phases
+    fold together over one compiled plan, then each point in turn
+    replays its standard and worst-case lanes and — for
+    ``with_measured`` points — runs the machine emulator, so every flat
+    summary dict is bit-identical to its ``summarize_ge_point`` /
+    ``summarize_uq_point`` counterpart.  Traced, events come out point
+    by point in group order (grid order for any grid whose points of one
+    configuration are adjacent, as :func:`repro.sweep.expand_grid`'s are).
 
     Returns the flat summary dicts in input order.
     """
@@ -341,8 +365,8 @@ def evaluate_ge_points_batch(
             machines.append((p_params, p_cost))
             emulators.append(emulator)
         seeds = [points[pos].seed for pos in positions]
-        predictions = simulate_programs_batch(plan, machines, seeds)
-        for lane, pos in enumerate(positions):
+        lanes = _lane_reports(plan, machines, seeds)
+        for lane, (pos, reports) in enumerate(zip(positions, lanes)):
             point = points[pos]
             measured = None
             if point.with_measured:
@@ -352,12 +376,12 @@ def evaluate_ge_points_batch(
                 )
             row = GERow(
                 n=n, b=b, layout=layout,
-                pred_standard=predictions[lane]["standard"],
-                pred_worstcase=predictions[lane]["worstcase"],
+                pred_standard=reports["standard"],
+                pred_worstcase=reports["worstcase"],
                 measured=measured,
             )
             out[pos] = _flatten_ge_row(row, point.seed)
         # release this configuration's trace before the next is built, so
         # at most one is alive at a time
-        del plan
+        del plan, lanes
     return out  # type: ignore[return-value]

@@ -11,8 +11,8 @@ runner executes the same grid across ``workers`` processes:
   — recording the decision in the stats (hence the run manifest) and a
   ``sweep.decide`` span.  See :mod:`repro.sweep.executor`.
 * **One evaluator.**  The serial arm, the cold probe and every pool
-  worker evaluate their points through :func:`_evaluate_chunk`: the SoA
-  batch kernel when untraced, point by point when traced.
+  worker evaluate their points through :func:`_evaluate_chunk`, which
+  runs the whole chunk through the batch kernel, traced or not.
 * **Chunked scheduling.**  Pending points are split into contiguous
   chunks (default: ~4 chunks per worker) dispatched to a process pool as
   workers free up, so a few slow points (large ``b``, measured runs)
@@ -23,10 +23,11 @@ runner executes the same grid across ``workers`` processes:
   to a ``--workers 1`` sweep.
 * **Shared-store coordination.**  With an :class:`ExperimentStore`
   attached, already-stored points are short-circuited *before* dispatch
-  (``resume=True``), and each worker persists every point it computes
-  through the store's atomic, advisory-locked writes — so an interrupted
-  sweep resumes where it stopped, and concurrent sweeps sharing a store
-  never corrupt or duplicate entries.
+  (``resume=True``; the only store read — ``resume=False`` recomputes
+  and overwrites every point), and each worker persists every point it
+  computes through the store's atomic, advisory-locked writes — so an
+  interrupted sweep resumes where it stopped, and concurrent sweeps
+  sharing a store never corrupt or duplicate entries.
 
 Workers receive only picklable payloads (the point list, the LogGP
 parameters, the cost model, the store *directory*) and re-open the store
@@ -46,7 +47,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
-from ..core.predictor import summarize_uq_point
 from ..experiments import ExperimentStore, PointSummary
 from ..kernel.memo import observe_point_cost, point_weight
 from ..obs import TraceConfig, TraceContext, Tracer, get_tracer, tracing
@@ -114,16 +114,6 @@ class SweepResult:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _lookup(store: Optional[ExperimentStore], point: SweepPoint):
-    """The stored summary of ``point``; ``None`` without a store or on a miss."""
-    if store is None:
-        return None
-    return store.get(
-        point.n, point.b, point.layout,
-        seed=point.seed, with_measured=point.with_measured,
-    )
-
-
 def _evaluate_point(
     point: SweepPoint,
     params: LogGPParameters,
@@ -131,26 +121,11 @@ def _evaluate_point(
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec] = None,
 ) -> PointSummary:
-    """One point: store get, compute on a miss, store put.
+    """One point as a one-point batch: compute, store put, cost observed.
 
-    With a UQ spec the point's seed selects a perturbed machine replicate
-    (:func:`repro.core.predictor.summarize_uq_point`, which takes the
-    exact deterministic path for ``None`` or an identity spec); the
-    store — already keyed with the spec's tag — caches replicates like
-    any other point.
+    What :func:`_evaluate_chunk` redoes a failed batch with.
     """
-    hit = _lookup(store, point)
-    if hit is not None:
-        return hit
-    summary = PointSummary(
-        **summarize_uq_point(
-            point.n, point.b, point.layout, params, cost_model, uq,
-            with_measured=point.with_measured, seed=point.seed,
-        )
-    )
-    if store is not None:
-        store.put(summary, with_measured=point.with_measured)
-    return summary
+    return _evaluate_pending_batch([(0, point)], params, cost_model, store, uq)[0][1]
 
 
 def _evaluate_chunk(
@@ -163,31 +138,24 @@ def _evaluate_chunk(
     """``(index, summary)`` pairs of one chunk, in chunk order.
 
     The one evaluator behind the serial arm, the cold probe and every
-    pool worker.  Untraced, the whole chunk goes through the SoA batch
-    evaluator — per-point width-1 lanes would forfeit the kernel's
-    cross-point win.  Traced, points go one by one through
-    :func:`_evaluate_point`, so each point's store get, compute and put
-    stay interleaved and the event stream is the same whichever process
-    runs the chunk.  Either way every evaluation calibrates the
-    executor's point-cost model.
+    pool worker: the whole chunk goes through the batch evaluator
+    (:func:`_evaluate_pending_batch`), whose lanes also emit the chunk's
+    events when the sweep is traced.  It computes every point it is
+    given; which points are pending is :func:`run_sweep`'s call.  Every
+    evaluation calibrates the executor's point-cost model.
 
     A batch is all-or-nothing, so a failed one is redone point by point:
     every point before the failing one is persisted for a resumed run,
     and the failure surfaces from its own point.
     """
-    if not get_tracer().enabled:
-        try:
-            return _evaluate_pending_batch(indexed, params, cost_model, store, uq)
-        except Exception:  # noqa: BLE001 - re-raised by the point that fails
-            pass
-    results: list[tuple[int, PointSummary]] = []
-    for idx, point in indexed:
-        t0 = time.perf_counter()
-        results.append((idx, _evaluate_point(point, params, cost_model, store, uq)))
-        observe_point_cost(
-            point.n, point.b, point.with_measured, time.perf_counter() - t0
-        )
-    return results
+    try:
+        return _evaluate_pending_batch(indexed, params, cost_model, store, uq)
+    except Exception:  # noqa: BLE001 - re-raised by the point that fails
+        pass
+    return [
+        (idx, _evaluate_point(point, params, cost_model, store, uq))
+        for idx, point in indexed
+    ]
 
 
 def _run_chunk(payload):
@@ -312,39 +280,36 @@ def _evaluate_pending_batch(
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec],
 ) -> list[tuple[int, PointSummary]]:
-    """Untraced chunk evaluation through the vectorized batch kernel.
+    """Chunk evaluation through the batch kernel: compute all, then put.
 
-    Mirrors :func:`_evaluate_point` exactly — per point: store get,
-    compute on miss, store put — but computes the misses together via
+    Computes every point via
     :func:`repro.kernel.vector.evaluate_ge_points_batch`, so replicate
-    lanes sharing a configuration advance in lockstep over one compiled
-    plan.  Results come back in ``pending`` order, and the measured wall
-    time calibrates the executor's point-cost model.
+    lanes sharing a configuration fold over one compiled plan, then
+    persists each summary.  Results come back in ``pending`` order, and
+    the measured wall time calibrates the executor's point-cost model.
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
-    results = {idx: _lookup(store, point) for idx, point in pending}
-    misses = [(idx, point) for idx, point in pending if results[idx] is None]
-    if misses:
-        miss_points = [pt for _, pt in misses]
-        t0 = time.perf_counter()
-        summaries = evaluate_ge_points_batch(miss_points, params, cost_model, uq=uq)
-        elapsed = time.perf_counter() - t0
-        # Apportion the batch's wall time across its points by weight:
-        # each observation then carries the batch's mean rate, which is
-        # what the executor's EWMA wants to track.
-        total_w = grid_weight(miss_points)
-        rate = elapsed / total_w if total_w > 0.0 else 0.0
-        for (idx, point), summary_dict in zip(misses, summaries):
-            summary = PointSummary(**summary_dict)
-            if store is not None:
-                store.put(summary, with_measured=point.with_measured)
-            results[idx] = summary
-            observe_point_cost(
-                point.n, point.b, point.with_measured,
-                rate * point_weight(point.n, point.b, point.with_measured),
-            )
-    return [(idx, results[idx]) for idx, _ in pending]
+    points = [pt for _, pt in pending]
+    t0 = time.perf_counter()
+    summaries = evaluate_ge_points_batch(points, params, cost_model, uq=uq)
+    elapsed = time.perf_counter() - t0
+    # Apportion the batch's wall time across its points by weight: each
+    # observation then carries the batch's mean rate, which is what the
+    # executor's EWMA wants to track.
+    total_w = grid_weight(points)
+    rate = elapsed / total_w if total_w > 0.0 else 0.0
+    results: list[tuple[int, PointSummary]] = []
+    for (idx, point), summary_dict in zip(pending, summaries):
+        summary = PointSummary(**summary_dict)
+        if store is not None:
+            store.put(summary, with_measured=point.with_measured)
+        results.append((idx, summary))
+        observe_point_cost(
+            point.n, point.b, point.with_measured,
+            rate * point_weight(point.n, point.b, point.with_measured),
+        )
+    return results
 
 
 def run_sweep(
@@ -383,7 +348,8 @@ def run_sweep(
         (compute-only).  Workers persist what they compute.
     resume:
         With a store, short-circuit already-stored points before
-        dispatch.  ``False`` dispatches every point.
+        dispatch.  ``False`` recomputes every point and overwrites its
+        entry.
     chunk_size:
         Points per dispatched chunk (default: grid split into ~4 chunks
         per worker, balanced by point weight).
@@ -435,10 +401,18 @@ def run_sweep(
     summaries: list[Optional[PointSummary]] = [None] * total
     done = 0
 
-    # -- short-circuit stored points before any dispatch --------------------
+    # -- short-circuit stored points before any dispatch (the only store
+    # read: the chunk evaluator computes every point it is handed) ---------
     pending: list[tuple[int, SweepPoint]] = []
     for idx, point in enumerate(points):
-        hit = _lookup(store, point) if resume else None
+        hit = (
+            store.get(
+                point.n, point.b, point.layout,
+                seed=point.seed, with_measured=point.with_measured,
+            )
+            if resume and store is not None
+            else None
+        )
         if hit is not None:
             summaries[idx] = hit
             done += 1

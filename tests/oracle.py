@@ -432,17 +432,19 @@ def reference_engine(tracer: Optional[Tracer] = None) -> Iterator[None]:
     """Run the whole prediction pipeline on the reference simulators.
 
     Injects the oracle where the pipeline looks its step simulators up:
-    ``ProgramSimulator``'s mode table (``program_sim._SIMULATORS``) and
-    the emulator's causal model (``repro.machine.emulator.simulate_causal``).
+    the mode table (``program_sim._SIMULATORS``) that ``ProgramSimulator``
+    and the batch kernel's traced lanes read, and the emulator's causal
+    model (``repro.machine.emulator.simulate_causal``).
 
-    The untraced GE entry points evaluate their predictions on the batch
-    kernel, and an untraced emulator replays its causal steps for their
-    clocks alone; both bypass these lookups.  A traced run takes the
-    per-step path through them instead.  So the block runs under
-    ``tracer``, or — when none is given — under a tracer that records no
-    categories (nothing is buffered; tracing never changes a result).
-    Forked pool workers inherit the injection, so pass
-    ``mp_context="fork"`` to a multi-worker reference sweep.
+    Untraced, the batch lanes run the sink-free kernel steps and the
+    emulator replays its causal steps for their clocks alone; both bypass
+    these lookups.  So the block runs under ``tracer``, or — when none is
+    given — under a tracer that records no categories (nothing is
+    buffered; tracing never changes a result).  Forked pool workers
+    inherit the injection, so pass ``mp_context="fork"`` to a
+    multi-worker reference sweep.  ``tests/test_traced_batch_parity.py``
+    checks that every communication step of ``run_ge_point`` and
+    ``evaluate_ge_points_batch`` reaches the oracle.
     """
     if tracer is None:
         tracer = Tracer(config=TraceConfig(categories=frozenset()))

@@ -99,11 +99,25 @@ class TestStoreAndResume:
     def test_store_without_resume_recomputes(self, tmp_path, capsys):
         store = tmp_path / "store"
         m = tmp_path / "m.json"
-        assert main([*BASE, "--store", str(store), "--no-manifest"]) == 0
-        assert main([*BASE, "--store", str(store), "--manifest-out", str(m)]) == 0
+
+        def sweep(*extra):
+            assert main([*BASE, "--store", str(store), *extra,
+                         "--manifest-out", str(m)]) == 0
+            return json.loads(m.read_text())["extra"]
+
+        fresh = sweep()["results_sha256"]
+        # a readable entry holding a wrong value: --resume serves it ...
+        entry = sorted(store.glob("*.json"))[0]
+        doc = json.loads(entry.read_text())
+        doc["pred_standard_total"] = -1.0
+        entry.write_text(json.dumps(doc))
+        assert sweep("--resume")["results_sha256"] != fresh
+        # ... and a run without --resume recomputes it and rewrites it
+        extra = sweep()
         capsys.readouterr()
-        stats = json.loads(m.read_text())["extra"]["sweep"]
-        assert stats["cached"] == 0  # no --resume: everything recomputed
+        assert extra["sweep"]["cached"] == 0
+        assert extra["results_sha256"] == fresh
+        assert json.loads(entry.read_text())["pred_standard_total"] != -1.0
 
 
 class TestProgressAndChunking:
