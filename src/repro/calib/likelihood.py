@@ -119,6 +119,27 @@ class CalibModel:
             if s.kind == "op"
         }
         self._center = self._prior_center()
+        # Per-group constants of the density, bound once.  Network groups
+        # read theta[:4]; an op group reads only its own op's factor.
+        self._net_groups = tuple(
+            (i, s.kind, s.size, s.n, s.mean_log, s.ss_log, max(s.sd_log, _SIGMA_FLOOR))
+            for i, s in enumerate(self.stats)
+            if s.kind != "op"
+        )
+        #: op groups by the dimension of their factor
+        self._op_groups = {
+            len(LOGGP_PARAMS) + k: tuple(
+                (i, self._base_log[(s.op, s.size)], s.n, s.mean_log, s.ss_log,
+                 max(s.sd_log, _SIGMA_FLOOR))
+                for i, s in enumerate(self.stats)
+                if s.kind == "op" and s.op == op
+            )
+            for k, op in enumerate(self.ops)
+        }
+        #: the last vector evaluated (floats) and its group terms: one
+        #: immutable pair, replaced whole, so concurrent callers can cost
+        #: each other recomputations but never mix two vectors' terms
+        self._last: Optional[Tuple[tuple, tuple]] = None
 
     # -- construction helpers ------------------------------------------------
     def _prior_center(self) -> np.ndarray:
@@ -185,11 +206,10 @@ class CalibModel:
         return 2.4 * np.asarray(scales, dtype=float)
 
     # -- the density ---------------------------------------------------------
-    def _model_log(self, theta: np.ndarray, s: GroupStats) -> float:
-        """Log of the modelled observable for one group at ``theta``."""
-        if s.kind == "op":
-            j = len(LOGGP_PARAMS) + self.ops.index(s.op)
-            return float(theta[j]) + self._base_log[(s.op, s.size)]
+    # A group's term is its negative log likelihood,
+    # sum_i (log v_i - log m)^2 / (2 sigma^2) = (n*(mean - log m)^2 + ss) / (2 sigma^2).
+    def _set_net_terms(self, theta, terms: list) -> None:
+        """The network groups' terms at ``theta``, from one parameter set."""
         params = LogGPParameters(
             L=float(np.exp(theta[0])),
             o=float(np.exp(theta[1])),
@@ -197,16 +217,54 @@ class CalibModel:
             G=float(np.exp(theta[3])),
             P=self.mset.num_procs,
         )
-        return float(np.log(microbench_model(params, s.kind, s.size)))
+        for i, kind, size, n, mean, ss, sigma in self._net_groups:
+            resid = mean - float(np.log(microbench_model(params, kind, size)))
+            terms[i] = (n * resid * resid + ss) / (2.0 * sigma * sigma)
+
+    def _set_op_terms(self, theta, j: int, terms: list) -> None:
+        """The terms of the op groups whose factor is dimension ``j``."""
+        for i, base, n, mean, ss, sigma in self._op_groups[j]:
+            resid = mean - (float(theta[j]) + base)
+            terms[i] = (n * resid * resid + ss) / (2.0 * sigma * sigma)
 
     def log_posterior(self, theta: np.ndarray) -> float:
-        """Unnormalised log posterior density at one log-parameter vector."""
+        """Unnormalised log posterior density at one log-parameter vector.
+
+        A group term depends only on the dimensions its group reads, so
+        the terms of the last vector evaluated are kept and only the
+        groups reading a dimension that differs from it are recomputed:
+        a componentwise Metropolis step moves one dimension, so it pays
+        for the 4 network groups (one :class:`LogGPParameters`) or for
+        one op's groups.  A reused term is the same expression of the
+        same inputs, and the terms are still subtracted in group order,
+        so every result is the bit pattern a full evaluation gives,
+        whatever was evaluated before.  (``-0.0`` and ``0.0`` compare
+        equal and may share terms: every term maps them to the same
+        bits.)
+        """
+        theta = np.asarray(theta)
+        if theta.shape != self._center.shape:
+            raise ValueError(
+                f"theta has shape {theta.shape}, expected {self._center.shape}"
+            )
+        now = tuple(theta.tolist())
+        # nothing evaluated yet: every dimension differs from None
+        prev, kept = self._last or ((None,) * len(now), (0.0,) * len(self.stats))
+        terms = list(kept)
+        net = False
+        for j, (x, y) in enumerate(zip(now, prev)):
+            if x != y:
+                if j < len(LOGGP_PARAMS):
+                    net = True
+                else:
+                    self._set_op_terms(theta, j, terms)
+        if net:
+            self._set_net_terms(theta, terms)
         lp = 0.0
-        for s in self.stats:
-            sigma = max(s.sd_log, _SIGMA_FLOOR)
-            resid = s.mean_log - self._model_log(theta, s)
-            # sum_i (log v_i - log m)^2 = n*(mean - log m)^2 + ss
-            lp -= (s.n * resid * resid + s.ss_log) / (2.0 * sigma * sigma)
+        for term in terms:
+            lp -= term
         dev = theta - self._center
-        lp -= float(np.sum(dev * dev)) / (2.0 * self.prior_tau**2)
+        # np.sum(dev * dev) is exactly this reduction, minus its dispatch
+        lp -= float(np.add.reduce(dev * dev, axis=None)) / (2.0 * self.prior_tau**2)
+        self._last = (now, tuple(terms))
         return lp

@@ -76,33 +76,35 @@ def run_mcmc(model: CalibModel, config: MCMCConfig) -> MCMCResult:
             f"proposal scales shape {steps.shape} != parameter dim {dim}"
         )
     lp = model.log_posterior(theta)
-    accepts = np.zeros(dim, dtype=np.int64)
-    proposals = np.zeros(dim, dtype=np.int64)
+    normal, uniform = rng.standard_normal, rng.random
+    step_list = steps.tolist()
+    accepts = [0] * dim
+    proposals = [0] * dim
     samples = np.empty((config.draws, dim), dtype=float)
     kept = 0
     total_sweeps = config.burn + config.draws * config.thin
     for sweep in range(total_sweeps):
-        for j in range(dim):
-            z = rng.standard_normal()
-            if steps[j] == 0.0:
+        for j, step in enumerate(step_list):
+            z = normal()
+            if step == 0.0:
                 continue  # pinned dimension (zero-spread group)
             proposals[j] += 1
             prop = theta.copy()
-            prop[j] += steps[j] * z
+            prop[j] += step * z
             lp_prop = model.log_posterior(prop)
-            if rng.random() < np.exp(min(0.0, lp_prop - lp)):
+            if uniform() < np.exp(min(0.0, lp_prop - lp)):
                 theta, lp = prop, lp_prop
                 accepts[j] += 1
         if sweep >= config.burn and (sweep - config.burn) % config.thin == 0:
             samples[kept] = theta
             kept += 1
     assert kept == config.draws
-    total = int(proposals.sum())
+    total = sum(proposals)
     by_dim = tuple(
-        float(a / p) if p else 0.0 for a, p in zip(accepts, proposals)
+        a / p if p else 0.0 for a, p in zip(accepts, proposals)
     )
     return MCMCResult(
         samples=samples,
-        accept_rate=float(accepts.sum() / total) if total else 0.0,
+        accept_rate=sum(accepts) / total if total else 0.0,
         accept_by_dim=by_dim,
     )

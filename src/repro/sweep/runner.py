@@ -49,7 +49,7 @@ from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
 from ..experiments import ExperimentStore, PointSummary
 from ..kernel.memo import observe_point_cost, point_weight
-from ..obs import TraceConfig, TraceContext, Tracer, get_tracer, tracing
+from ..obs import NULL_TRACER, TraceConfig, TraceContext, Tracer, get_tracer, tracing
 from ..obs.telemetry import write_shard
 from ..uq.spec import UQSpec
 from .executor import (
@@ -146,16 +146,23 @@ def _evaluate_chunk(
 
     A batch is all-or-nothing, so a failed one is redone point by point:
     every point before the failing one is persisted for a resumed run,
-    and the failure surfaces from its own point.
+    and the failure surfaces from its own point.  The redo runs
+    untraced, because the batch already recorded every configuration
+    group it finished before the failure (point by point, in group
+    order); so a traced failed chunk records each point at most once.
+    When the chunk's configurations interleave, a finished group can
+    hold points after the failing one, which are then recorded but not
+    persisted.
     """
     try:
         return _evaluate_pending_batch(indexed, params, cost_model, store, uq)
     except Exception:  # noqa: BLE001 - re-raised by the point that fails
         pass
-    return [
-        (idx, _evaluate_point(point, params, cost_model, store, uq))
-        for idx, point in indexed
-    ]
+    with tracing(NULL_TRACER):
+        return [
+            (idx, _evaluate_point(point, params, cost_model, store, uq))
+            for idx, point in indexed
+        ]
 
 
 def _run_chunk(payload):

@@ -152,3 +152,34 @@ def test_reference_engine_reaches_oracle_from_batch(oracle_calls):
         evaluate_ge_points_batch(points, PARAMS, CM)
     steps = 2 * _comm_steps(96, 24, "diagonal") + _comm_steps(96, 48, "stripped")
     assert oracle_calls == {"standard": steps, "worstcase": steps}
+
+
+# -- a failed traced chunk -----------------------------------------------------
+
+
+class _FailsAtB40(CalibratedCostModel):
+    """Raises for the b=40 blocks; every other block costs as calibrated."""
+
+    def cost(self, op, size):
+        if size == 40:
+            raise RuntimeError("boom at b=40")
+        return super().cost(op, size)
+
+
+def test_failed_traced_chunk_records_each_point_once():
+    """The batch fails at b=40 after recording b=24; the point-by-point
+    redo evaluates b=24 again (for the store) and re-raises from b=40
+    without recording b=24 twice: the trace holds what one evaluation
+    of b=24 records."""
+    grid = expand_grid(120, [24, 40], ["diagonal"], with_measured=False)
+    tracer = Tracer()
+    with tracing(tracer), pytest.raises(RuntimeError, match="boom at b=40"):
+        run_sweep(grid, PARAMS, _FailsAtB40(), workers=1)
+    alone = Tracer()
+    with tracing(alone):
+        run_sweep(grid[:1], PARAMS, _FailsAtB40(), workers=1)
+    counters = _counters(tracer)
+    assert counters["sim.program_runs"] == 2  # standard + worst case, once
+    assert counters["sim.program_steps"] == 26
+    assert counters == _counters(alone)
+    assert _stream(tracer) == _stream(alone)
