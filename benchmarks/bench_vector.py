@@ -106,6 +106,11 @@ def _grid_workload():
 
 
 def _lane_workload():
+    from repro.kernel.tracecache import ge_trace
+
+    # the scalar lanes read the configuration as a trace, the batch lanes
+    # as its compiled plan; both are built before either clock starts
+    trace = ge_trace(MATRIX_N, LANE_B, "diagonal", PARAMS.P)
     plan = ge_plan(MATRIX_N, LANE_B, "diagonal", PARAMS.P)
     lanes = [(PARAMS, COST_MODEL)] * len(LANE_SEEDS)
 
@@ -115,7 +120,7 @@ def _lane_workload():
         {
             mode: ProgramSimulator(
                 PARAMS, COST_MODEL, mode=mode, seed=seed
-            ).run(plan.trace)
+            ).run(trace)
             for mode in GE_MODES
         }
         for seed in LANE_SEEDS

@@ -34,14 +34,19 @@ Messages between blocks owned by the same processor are *local* — real
 executions do them as memory copies; the simple LogGP prediction skips
 them (paper section 6.3) while the machine emulator charges a copy cost.
 
-This module provides both the **trace generator** (consumed by predictor
-and emulator) and a **numerical executor** that actually factorises a
+This module provides the **wavefront recurrence** (:func:`ge_steps`,
+compiled straight into the batch kernel's plan by
+:func:`repro.kernel.vector.ge_plan`, and wrapped as a
+:class:`~repro.trace.program.ProgramTrace` by :func:`build_ge_trace`)
+and a **numerical executor** that actually factorises a
 matrix with the four basic ops, verified against ``L @ U = A``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 
 from ..blockops import ops as bops
@@ -52,6 +57,8 @@ from ..trace.program import ProgramTrace, Step, Work
 __all__ = [
     "GEConfig",
     "build_ge_trace",
+    "ge_steps",
+    "ge_meta",
     "execute_blocked_ge",
     "verify_lu",
     "random_spd_like_matrix",
@@ -90,14 +97,83 @@ class GEConfig:
         return self.n // self.b
 
 
-def _op_of(i: int, j: int, k: int) -> str:
-    if i == k and j == k:
-        return "op1"
-    if i == k:
-        return "op2"
-    if j == k:
-        return "op3"
-    return "op4"
+def ge_meta(config: GEConfig) -> dict:
+    """The report metadata of one configuration's program."""
+    b = config.b
+    return {
+        "app": "gauss",
+        "n": config.n,
+        "b": b,
+        "nb": config.nb,
+        "layout": config.layout.name,
+        "num_procs": config.layout.num_procs,
+        "block_bytes": b * b * 8,
+        "factor_bytes": b * (b + 1) // 2 * 8,
+    }
+
+
+def ge_steps(
+    config: GEConfig,
+) -> Iterator[tuple[dict[int, list[tuple]], list[tuple[int, int, int]]]]:
+    """The wavefront recurrence, one program step at a time.
+
+    Yields ``(work, messages)`` for each of the ``3*(nb-1) + 1`` steps:
+    step ``t`` computes every block ``(i, j, k)`` with
+    ``3k + (i-k) + (j-k) == t``.  ``work`` maps each processor, in the
+    order it first computes this step, to its ``(op, b, i, j, k)``
+    records; ``messages`` lists the ``(src, dst, size)`` sends the
+    step's blocks emit, in program order.  :func:`build_ge_trace` wraps
+    the records as objects; :func:`repro.kernel.vector.ge_plan` compiles
+    them as they are.
+    """
+    nb = config.nb
+    b = config.b
+    owner = config.layout.owner
+    owners = [[owner(i, j) for j in range(nb)] for i in range(nb)]
+    block_bytes = b * b * 8
+    factor_bytes = b * (b + 1) // 2 * 8  # one triangular factor
+
+    last = nb - 1
+    for t in range(3 * last + 1):
+        work: dict[int, list[tuple]] = {}
+        msgs: list[tuple[int, int, int]] = []
+        send = msgs.append
+        # iterations whose wave is alive at step t
+        for k in range(min(t // 3, last) + 1):
+            s = t - 3 * k
+            if s > 2 * (last - k):
+                continue
+            # blocks (i, j) with i,j >= k and (i-k) + (j-k) == s
+            for di in range(max(0, s - (last - k)), min(s, last - k) + 1):
+                i = k + di
+                j = k + (s - di)
+                row = owners[i]
+                me = row[j]
+                # outgoing data (systolic forwarding): right, then down —
+                # except Op3, which forwards its factor down first
+                if i == k:
+                    op = "op1" if j == k else "op2"
+                    if j < last:
+                        send((me, row[j + 1], factor_bytes))
+                    if i < last:
+                        send((me, owners[i + 1][j], factor_bytes if j == k else block_bytes))
+                elif j == k:
+                    op = "op3"
+                    if i < last:
+                        send((me, owners[i + 1][j], factor_bytes))
+                    if j < last:
+                        send((me, row[j + 1], block_bytes))
+                else:  # op4 forwards both streams
+                    op = "op4"
+                    if j < last:
+                        send((me, row[j + 1], block_bytes))
+                    if i < last:
+                        send((me, owners[i + 1][j], block_bytes))
+                records = work.get(me)
+                if records is None:
+                    records = work[me] = []
+                records.append((op, b, i, j, k))
+        yield work, msgs
 
 
 def build_ge_trace(config: GEConfig) -> ProgramTrace:
@@ -105,72 +181,24 @@ def build_ge_trace(config: GEConfig) -> ProgramTrace:
 
     The trace has ``3*(nb-1) + 1`` steps; step ``t`` holds the computation
     of every block ``(i, j, k)`` with ``3k + (i-k) + (j-k) == t`` and the
-    communication pattern of the data those blocks emit.
+    communication pattern of the data those blocks emit
+    (:func:`ge_steps`, as :class:`Work` and :class:`CommPattern` objects).
     """
-    nb = config.nb
-    b = config.b
-    layout = config.layout
-    owner = layout.owner
-    block_bytes = b * b * 8
-    factor_bytes = b * (b + 1) // 2 * 8  # one triangular factor
-
-    trace = ProgramTrace(num_procs=layout.num_procs)
-    last_t = 3 * (nb - 1)
-    for t in range(last_t + 1):
-        work: dict[int, list[Work]] = {}
-        pattern = CommPattern(layout.num_procs)
-        # iterations whose wave is alive at step t
-        k_hi = min(t // 3, nb - 1)
-        for k in range(k_hi + 1):
-            s = t - 3 * k
-            if s > 2 * (nb - 1 - k):
-                continue
-            # blocks (i, j) with i,j >= k and (i-k) + (j-k) == s
-            di_lo = max(0, s - (nb - 1 - k))
-            di_hi = min(s, nb - 1 - k)
-            for di in range(di_lo, di_hi + 1):
-                i = k + di
-                j = k + (s - di)
-                me = owner(i, j)
-                op = _op_of(i, j, k)
-                work.setdefault(me, []).append(
+    P = config.layout.num_procs
+    trace = ProgramTrace(num_procs=P)
+    for t, (work, msgs) in enumerate(ge_steps(config)):
+        trace.add_step(Step(
+            work={
+                proc: [
                     Work(op=op, b=b, block=(i, j), iteration=k)
-                )
-                # outgoing data (systolic forwarding)
-                if op == "op1":
-                    if j + 1 < nb:
-                        pattern.add(me, owner(i, j + 1), factor_bytes)
-                    if i + 1 < nb:
-                        pattern.add(me, owner(i + 1, j), factor_bytes)
-                elif op == "op2":
-                    if j + 1 < nb:
-                        pattern.add(me, owner(i, j + 1), factor_bytes)
-                    if i + 1 < nb:
-                        pattern.add(me, owner(i + 1, j), block_bytes)
-                elif op == "op3":
-                    if i + 1 < nb:
-                        pattern.add(me, owner(i + 1, j), factor_bytes)
-                    if j + 1 < nb:
-                        pattern.add(me, owner(i, j + 1), block_bytes)
-                else:  # op4 forwards both streams
-                    if j + 1 < nb:
-                        pattern.add(me, owner(i, j + 1), block_bytes)
-                    if i + 1 < nb:
-                        pattern.add(me, owner(i + 1, j), block_bytes)
-        trace.add_step(Step(work=work, pattern=pattern, label=f"t={t}"))
-
-    trace.meta.update(
-        {
-            "app": "gauss",
-            "n": config.n,
-            "b": b,
-            "nb": nb,
-            "layout": layout.name,
-            "num_procs": layout.num_procs,
-            "block_bytes": block_bytes,
-            "factor_bytes": factor_bytes,
-        }
-    )
+                    for op, b, i, j, k in records
+                ]
+                for proc, records in work.items()
+            },
+            pattern=CommPattern(P, msgs),
+            label=f"t={t}",
+        ))
+    trace.meta.update(ge_meta(config))
     return trace
 
 

@@ -60,7 +60,10 @@ def simulate_causal(
     from ..kernel.fastdes import causal_step
 
     events: list[CommEvent] = []
-    ctimes, des_events = causal_step(params, pattern, start_times, latency_of, events)
+    ctimes, des_events = causal_step(
+        params, pattern.remote_records(), start_times, latency_of, events,
+        pattern.messages,
+    )
     return step_result(
         params, pattern, start_times, ctimes, events, "causal", des_events
     )

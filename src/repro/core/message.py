@@ -80,6 +80,7 @@ class CommPattern:
         # cached remote/local views (hot in the simulators; invalidated by add)
         self._remote: Optional[tuple[Message, ...]] = None
         self._local: Optional[tuple[Message, ...]] = None
+        self._records: Optional[tuple[tuple[int, int, int, int], ...]] = None
         if edges is not None:
             for edge in edges:
                 if len(edge) == 2:
@@ -100,7 +101,7 @@ class CommPattern:
         msg = Message(src=src, dst=dst, size=size, uid=next(self._uid), seq=seq)
         self._per_src_seq[src] = seq + 1
         self._messages.append(msg)
-        self._remote = self._local = None
+        self._remote = self._local = self._records = None
         return msg
 
     # -- views ----------------------------------------------------------------
@@ -126,6 +127,20 @@ class CommPattern:
                 m for m in self._messages if not m.is_local
             )
         return remote
+
+    def remote_records(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Remote messages as ``(src, dst, size, uid)`` records.
+
+        The step simulators' input (:mod:`repro.kernel.fastsim`,
+        :mod:`repro.kernel.fastdes`).  A message's ``uid`` is its position
+        in :attr:`messages`, so ``messages[uid]`` recovers it.
+        """
+        records = self._records
+        if records is None:
+            records = self._records = tuple(
+                (m.src, m.dst, m.size, m.uid) for m in self.remote_messages()
+            )
+        return records
 
     def local_messages(self) -> tuple[Message, ...]:
         """Self-messages (local copies in real execution)."""

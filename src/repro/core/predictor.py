@@ -128,7 +128,7 @@ def run_ge_point(
     measured = None
     if with_measured:
         measured = _measured_report(
-            plan.trace, params, cost_model, seed, emulator=emulator
+            plan, params, cost_model, seed, emulator=emulator
         )
     return GERow(
         n=n,
@@ -141,16 +141,16 @@ def run_ge_point(
 
 
 def _measured_report(
-    trace: ProgramTrace,
+    plan,
     params: LogGPParameters,
     cost_model: CostModel,
     seed: int,
     emulator: Optional[MachineEmulator] = None,
 ) -> MeasuredReport:
-    """The emulated "measured" run of one point."""
+    """The emulated "measured" run of one point's compiled plan."""
     if emulator is None:
         emulator = MachineEmulator(params=params, cost_model=cost_model, seed=seed)
-    return emulator.run(trace)
+    return emulator.run(plan)
 
 
 def _uq_machine(

@@ -119,7 +119,9 @@ def _simulate(
     from ..kernel.fastsim import standard_step
 
     events: list[CommEvent] = []
-    ctimes, _ = standard_step(params, pattern, start_times, rng, events)
+    ctimes, _ = standard_step(
+        params, pattern.remote_records(), start_times, rng, events, pattern.messages
+    )
     return step_result(params, pattern, start_times, ctimes, events, "standard")
 
 

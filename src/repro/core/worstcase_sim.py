@@ -74,5 +74,7 @@ def _simulate(
     from ..kernel.fastsim import worstcase_step
 
     events: list[CommEvent] = []
-    ctimes, _ = worstcase_step(params, pattern, start_times, rng, events)
+    ctimes, _ = worstcase_step(
+        params, pattern.remote_records(), start_times, rng, events, pattern.messages
+    )
     return step_result(params, pattern, start_times, ctimes, events, "worstcase")

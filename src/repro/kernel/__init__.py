@@ -20,8 +20,9 @@ event by event on every application, layout and engine, and the
 sweep/UQ digests must equal the checked-in golden digests.
 
 Nothing is cached across calls except the small, fingerprint-keyed cost
-memos: a GE trace (~12 MB at n=480, b=10) and its compiled plan are
-built per call and shared only by the lanes of that call.
+memos: a GE configuration's compiled plan is built per call, straight
+from the wavefront recurrence, and shared only by the lanes of that
+call.
 
 Submodules
 ----------
@@ -32,9 +33,10 @@ fastsim
 fastdes
     Flat-heap, sequence-exact replay of the causal DES model.
 tracecache
-    The GE program trace of one sweep configuration.
+    The GE program trace of one configuration, as objects.
 vector
-    Structure-of-arrays batch simulator: many sweep points per step.
+    Compiled program plans (flat per-step records) and the
+    structure-of-arrays batch simulator: many sweep points per step.
 
 ``fastsim``/``fastdes``/``tracecache``/``vector`` import the modules they
 serve, so this ``__init__`` loads them lazily — those modules can import

@@ -47,8 +47,14 @@ the final counter, the pop order and every latency draw are unchanged.
 run — the reference pops it after that decision, and the ``DELIVER`` it
 schedules takes the sequence number current at that point.
 
-Events are built only on request: with ``sink=None`` (the untraced
-machine emulator) no :class:`CommEvent` is constructed at all.
+The step reads its remote messages as flat ``(src, dst, size, uid)``
+records.  Events are built only on request: with ``sink=None`` (the
+untraced machine emulator) no :class:`CommEvent` is constructed at all;
+a caller that passes a sink also passes the pattern's ``messages``
+(indexed by uid), which the events carry.  ``latency_of`` receives the
+:class:`~repro.core.message.Message` when ``messages`` is given, and the
+bare record otherwise — :meth:`repro.machine.JitteredNetwork.latency_of`
+ignores its argument, so the untraced emulator hands it records.
 
 Stale wakeups are real in the reference (a message landing between an
 ``AnyOf`` firing and the processor resuming schedules a wakeup that
@@ -66,11 +72,10 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
-from ..core.message import CommPattern
 from .memo import send_durations
 
 __all__ = ["causal_step"]
@@ -98,22 +103,27 @@ _ANYOF = 2   # `yield any_of([timeout, wakeup])` — send slot or delivery
 
 def causal_step(
     params: LogGPParameters,
-    pattern: CommPattern,
+    remote: Sequence[tuple[int, int, int, int]],
     start_times: Optional[Mapping[int, float]] = None,
     latency_of=None,
     sink: Optional[list] = None,
+    messages: Optional[Sequence] = None,
 ) -> tuple[dict[int, float], int]:
-    """Flat-heap replay of the causal model (:mod:`repro.core.des_check`).
+    """Flat-heap replay of the causal model (:mod:`repro.core.des_check`)
+    over ``(src, dst, size, uid)`` records.
 
     Returns ``(ctimes, des_events)``: the final clocks and the number of
     events the reference engine processes.  Appends the step's
-    :class:`CommEvent` stream to ``sink`` if given.
+    :class:`CommEvent` stream to ``sink`` if given; its events carry
+    ``messages[uid]``, which ``latency_of`` then receives too (the
+    record itself when ``messages`` is ``None``).
     """
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
+    elif messages is not None:
+        latency_of = lambda rec, _of=latency_of: _of(messages[rec[3]])  # noqa: E731
     starts = start_times or {}
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
 
     o = params.o
     g = params.g
@@ -138,9 +148,9 @@ def causal_step(
     wait_gen = [0] * n_procs
     wakeup_live = [False] * n_procs
     anyof_fired = [False] * n_procs
-    for m in remote:  # one pass; per-source order is the remote order
-        sends[rank_of[m.src]].append(m)
-        expected[rank_of[m.dst]] += 1
+    for rec in remote:  # one pass; per-source order is the remote order
+        sends[rank_of[rec[0]]].append(rec)
+        expected[rank_of[rec[1]]] += 1
 
     emit = None if sink is None else sink.append
 
@@ -175,7 +185,7 @@ def causal_step(
             recv_start = _INF
 
         if arr and recv_start <= send_start:
-            arrival, _, msg = heappop(arr)
+            arrival, uid = heappop(arr)
             if recv_start > now:
                 heappush(
                     heap,
@@ -186,13 +196,15 @@ def causal_step(
                         pid,
                         recv_start,
                         arrival,
-                        msg,
+                        uid,
                     ),
                 )
                 seq += 1
             else:
                 if emit is not None:
-                    emit(CommEvent(procs[pid], _RECV, recv_start, o, msg, arrival=arrival))
+                    emit(CommEvent(
+                        procs[pid], _RECV, recv_start, o, messages[uid], arrival=arrival
+                    ))
                 heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
                 seq += 1
         elif sq:
@@ -206,16 +218,16 @@ def causal_step(
                 )
                 seq += 1
             else:
-                msg = sq.popleft()
-                size = msg.size
+                rec = sq.popleft()
+                size = rec[2]
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(procs[pid], _SEND, send_start, duration, msg))
+                    emit(CommEvent(procs[pid], _SEND, send_start, duration, messages[rec[3]]))
                 heappush(
                     heap,
-                    (now + duration, seq, _SEND_END, pid, send_start + duration, msg),
+                    (now + duration, seq, _SEND_END, pid, send_start + duration, rec),
                 )
                 seq += 1
         else:
@@ -244,13 +256,13 @@ def causal_step(
             decide(pid, t)
         elif kind == _SEND_END:
             pid = item[3]
-            msg = item[5]
+            rec = item[5]
             last_kind[pid] = _SEND
             last_end[pid] = item[4]
             # Wire latency is drawn *before* the delivery process is
             # scheduled and before the next decision — the emulator's
             # shared-RNG draw order depends on this.
-            entry = (t, seq, _INIT_DELIVER, rank_of[msg.dst], latency_of(msg), msg)
+            entry = (t, seq, _INIT_DELIVER, rank_of[rec[1]], latency_of(rec), rec[3])
             seq += 1
             decide(pid, t)
             if heap and heap[0] < entry:
@@ -259,8 +271,7 @@ def causal_step(
                 pending = entry
         elif kind == _DELIVER:
             dst = item[3]
-            msg = item[4]
-            heappush(arrived[dst], (t, msg.uid, msg))
+            heappush(arrived[dst], (t, item[4]))
             if wakeup_live[dst]:
                 wakeup_live[dst] = False
                 entry = (t, seq, _WAKEUP, dst, wait_gen[dst])
@@ -277,7 +288,9 @@ def causal_step(
             pid = item[3]
             recv_start = item[4]
             if emit is not None:
-                emit(CommEvent(procs[pid], _RECV, recv_start, o, item[6], arrival=item[5]))
+                emit(CommEvent(
+                    procs[pid], _RECV, recv_start, o, messages[item[6]], arrival=item[5]
+                ))
             heappush(heap, (t + o, seq, _RECV_END, pid, recv_start + o))
             seq += 1
         elif kind == _WAKEUP:

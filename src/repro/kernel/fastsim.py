@@ -11,13 +11,18 @@ per-operation overhead removed:
   ``max(o, g) - o`` is a constant, receive duration is ``o``, send
   durations come from the shared per-machine table in
   :mod:`repro.kernel.memo`);
+* each reads the step's remote messages as flat ``(src, dst, size,
+  uid)`` records (:meth:`CommPattern.remote_records`, or a compiled
+  plan's step) and never touches a :class:`~repro.core.message.Message`
+  unless it emits events;
 * each returns ``(ctimes, busy)``: every processor's engaged time is
   folded on the fly — the same per-processor left-fold over the same
   durations in the same order as ``StepTimeline.busy_times()`` over the
   events.  The :class:`CommEvent` stream is built only when the caller
-  passes a ``sink`` list; the batch path passes none.
-  :func:`repro.core.standard_sim.step_result` wraps a sink into the
-  public :class:`~repro.core.standard_sim.SimulationResult`;
+  passes a ``sink`` list together with the pattern's ``messages``
+  (indexed by uid, which the events carry); the batch path passes
+  neither.  :func:`repro.core.standard_sim.step_result` wraps a sink
+  into the public :class:`~repro.core.standard_sim.SimulationResult`;
 * random draws are ``seq[int(rng.integers(0, len(seq)))]`` where the
   reference calls ``int(rng.choice(seq))``: on a plain sequence the two
   pick the same element and leave the generator in the same state (the
@@ -53,13 +58,12 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
-from ..core.message import CommPattern
 from .memo import send_durations
 
 __all__ = ["standard_step", "worstcase_step"]
@@ -71,18 +75,19 @@ _RECV = OpKind.RECV
 
 def standard_step(
     params: LogGPParameters,
-    pattern: CommPattern,
+    remote: Sequence[tuple[int, int, int, int]],
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
     sink: Optional[list] = None,
+    messages: Optional[Sequence] = None,
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """The Figure 2 algorithm; returns ``(ctimes, busy)``.
+    """The Figure 2 algorithm over ``(src, dst, size, uid)`` records.
 
-    Appends the step's :class:`CommEvent` stream to ``sink`` if given.
+    Returns ``(ctimes, busy)``.  Appends the step's :class:`CommEvent`
+    stream to ``sink`` if given; its events carry ``messages[uid]``.
     """
     starts = start_times or {}
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
 
     o = params.o
     g = params.g
@@ -104,8 +109,8 @@ def standard_step(
         last_kind[p] = None
         send_q[p] = deque()
         recv_h[p] = []
-    for m in remote:  # one pass; per-source order is the remote order
-        send_q[m.src].append(m)
+    for rec in remote:  # one pass; per-source order is the remote order
+        send_q[rec[0]].append(rec)
 
     while True:
         # One scan finds the senders and their minimum clock together.
@@ -155,21 +160,20 @@ def standard_step(
             )
 
             if start_send < start_recv:
-                msg = sq.popleft()
-                size = msg.size
+                _, dst, size, uid = sq.popleft()
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(proc, _SEND, start_send, duration, msg))
+                    emit(CommEvent(proc, _SEND, start_send, duration, messages[uid]))
                 bz += duration
                 ct = start_send + duration
                 lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
+                heappush(recv_h[dst], (ct + L, uid))
             else:
-                arrival, _, msg = heappop(rh)
+                arrival, uid = heappop(rh)
                 if emit is not None:
-                    emit(CommEvent(proc, _RECV, start_recv, o, msg, arrival=arrival))
+                    emit(CommEvent(proc, _RECV, start_recv, o, messages[uid], arrival=arrival))
                 bz += o
                 ct = start_recv + o
                 lk = _RECV
@@ -188,10 +192,10 @@ def standard_step(
         lk = last_kind[p]
         bz = busy[p]
         while rh:
-            arrival, _, msg = heappop(rh)
+            arrival, uid = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
             if emit is not None:
-                emit(CommEvent(p, _RECV, start, o, msg, arrival=arrival))
+                emit(CommEvent(p, _RECV, start, o, messages[uid], arrival=arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -204,18 +208,19 @@ def standard_step(
 
 def worstcase_step(
     params: LogGPParameters,
-    pattern: CommPattern,
+    remote: Sequence[tuple[int, int, int, int]],
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
     sink: Optional[list] = None,
+    messages: Optional[Sequence] = None,
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """The §4.2 overestimation algorithm; returns ``(ctimes, busy)``.
+    """The §4.2 overestimation algorithm over ``(src, dst, size, uid)`` records.
 
-    Appends the step's :class:`CommEvent` stream to ``sink`` if given.
+    Returns ``(ctimes, busy)``.  Appends the step's :class:`CommEvent`
+    stream to ``sink`` if given; its events carry ``messages[uid]``.
     """
     starts = start_times or {}
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
 
     o = params.o
     g = params.g
@@ -239,9 +244,9 @@ def worstcase_step(
         send_q[p] = deque()
         recv_h[p] = []
         expected[p] = 0
-    for m in remote:  # one pass; per-source order is the remote order
-        send_q[m.src].append(m)
-        expected[m.dst] += 1
+    for rec in remote:  # one pass; per-source order is the remote order
+        send_q[rec[0]].append(rec)
+        expected[rec[1]] += 1
     remaining = len(remote)
 
     def drain_recvs(proc: int) -> None:
@@ -250,10 +255,10 @@ def worstcase_step(
         lk = last_kind[proc]
         bz = busy[proc]
         while rh:
-            arrival, _, msg = heappop(rh)
+            arrival, uid = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
             if emit is not None:
-                emit(CommEvent(proc, _RECV, start, o, msg, arrival=arrival))
+                emit(CommEvent(proc, _RECV, start, o, messages[uid], arrival=arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -288,22 +293,20 @@ def worstcase_step(
                     else blocked[int(rng.integers(0, n_blocked))]
                 )
                 sq = send_q[victim]
-                msg = sq.popleft()
+                _, dst, size, uid = sq.popleft()
                 lk = last_kind[victim]
                 ct = ctime[victim]
                 start = ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-                size = msg.size
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(victim, _SEND, start, duration, msg))
+                    emit(CommEvent(victim, _SEND, start, duration, messages[uid]))
                 busy[victim] += duration
                 end = start + duration
                 ctime[victim] = end
                 last_kind[victim] = _SEND
-                dst = msg.dst
-                heappush(recv_h[dst], (end + L, msg.uid, msg))
+                heappush(recv_h[dst], (end + L, uid))
                 expected[dst] -= 1
                 remaining -= 1
                 drain_recvs(dst)
@@ -320,21 +323,20 @@ def worstcase_step(
             bz = busy[p]
             remaining -= len(sq)
             while sq:
-                msg = sq.popleft()
+                _, dst, size, uid = sq.popleft()
                 start = (
                     ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
                 )
-                size = msg.size
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(p, _SEND, start, duration, msg))
+                    emit(CommEvent(p, _SEND, start, duration, messages[uid]))
                 bz += duration
                 ct = start + duration
                 lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
-                expected[msg.dst] -= 1
+                heappush(recv_h[dst], (ct + L, uid))
+                expected[dst] -= 1
             ctime[p] = ct
             last_kind[p] = lk
             busy[p] = bz

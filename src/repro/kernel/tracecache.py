@@ -1,16 +1,18 @@
-"""The GE program trace of one sweep configuration.
+"""The GE program trace of one sweep configuration, as objects.
 
-:func:`ge_trace` builds the trace of one ``(n, b, layout, P)``
-configuration on every call.  Nothing is kept across calls: at n=480,
-b=10 a trace is ~12 MB, and a process that cached a few dozen of them
-held several times the memory of the simulation itself.  Callers that
-evaluate many points of one configuration share a trace *within* a call
-instead — :func:`repro.kernel.vector.evaluate_ge_points_batch` groups
-its lanes by configuration and builds each group's trace once.
+:func:`ge_trace` builds the :class:`~repro.trace.program.ProgramTrace`
+of one ``(n, b, layout, P)`` configuration on every call, for callers
+that want the program as ``Work``/``CommPattern`` objects.  Sweeps do
+not call it: :func:`repro.kernel.vector.ge_plan` compiles the same
+wavefront recurrence (:func:`repro.apps.gauss.ge_steps`) straight into
+flat per-step records, and a batch call shares one *plan* among the
+lanes of each configuration.
 
-Rebuilds are bit-identical (:class:`repro.core.message.CommPattern`
-allocates message uids from a per-pattern counter), so sharing or not
-sharing a trace never changes a result.
+Nothing is kept across calls: at n=480, b=10 a trace is ~12 MB, and a
+process that cached a few dozen of them held several times the memory
+of the simulation itself.  Rebuilds are bit-identical
+(:class:`repro.core.message.CommPattern` allocates message uids from a
+per-pattern counter), so rebuilding never changes a result.
 """
 
 from __future__ import annotations

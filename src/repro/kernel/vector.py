@@ -8,13 +8,19 @@ structure, so the batch evaluator works in two parts:
 
 * a **computation fold**, step-major over all lanes at once: each
   (step, processor) computation phase is one gather + one sequential
-  fold over a shared :class:`ProgramPlan` (the trace compiled once into
-  flat numpy index arrays, instead of re-traversed per lane per engine);
+  fold over a shared :class:`ProgramPlan` (the program compiled once
+  into flat per-step records, instead of re-traversed per lane per
+  engine);
 * a **lane replay** that walks one (lane, mode) through the plan's
   steps the way :meth:`repro.core.program_sim.ProgramSimulator.run`
   does: it adds the folded computation phases to the clocks and prices
-  each communication step from the plan's precompiled message pattern
-  and participant list.
+  each communication step from the plan's remote-message records and
+  participant list.
+
+:func:`ge_plan` compiles a GE configuration straight from the wavefront
+recurrence, so an untraced sweep point builds no trace, ``Work``,
+``Message`` or ``CommPattern``; :func:`compile_plan` builds the same
+format from any :class:`~repro.trace.program.ProgramTrace`.
 
 This is the one GE evaluation path, traced or not.  Untraced, a replay
 runs the sink-free ``standard_step``/``worstcase_step``.  Traced, it
@@ -45,18 +51,20 @@ Bit-identity discipline (enforced by ``tests/test_vector_property.py``,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..apps.gauss import GEConfig, ge_meta, ge_steps
 from ..core import program_sim
 from ..core.loggp import LogGPParameters
+from ..core.message import CommPattern
 from ..core.program_sim import PredictionReport
+from ..layouts import LAYOUTS
 from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .fastsim import standard_step, worstcase_step
 from .memo import memoize
-from .tracecache import ge_trace
 
 __all__ = [
     "ProgramPlan",
@@ -79,82 +87,136 @@ GE_MODES = ("standard", "worstcase")
 
 
 class _PlanStep:
-    """One program step, compiled: flat comp indices + comm metadata."""
+    """One program step, compiled into flat records."""
 
-    __slots__ = ("comp", "pattern", "participants")
+    __slots__ = ("num_procs", "work", "remote", "local", "participants", "_pattern")
 
-    def __init__(self, comp, pattern, participants):
-        #: ``[(proc, idx_list, idx_array)]`` for procs with non-empty work
-        self.comp = comp
-        #: the step's :class:`CommPattern` iff it has remote messages
-        self.pattern = pattern
+    def __init__(self, num_procs, work, remote, local, participants):
+        self.num_procs = num_procs
+        #: ``[(proc, slots, records)]`` per processor with work, in phase
+        #: order: op-table slots and ``(op, b, i, j, k)`` work records
+        self.work = work
+        #: ``(src, dst, size, uid)`` remote messages in program order
+        self.remote = remote
+        #: ``(src, size, uid)`` self-messages (local copies)
+        self.local = local
         #: sorted processors touched by the remote messages
         self.participants = participants
+        self._pattern = None
+
+    @property
+    def pattern(self):
+        """The step's :class:`CommPattern`, built from its records on first use.
+
+        Only traced runs read it (the public step simulators take a
+        pattern).  ``CommPattern(P, edges)`` numbers messages by
+        insertion, so every uid and per-sender ``seq`` equals the
+        original's.  The plan keeps it for the rest of its life.
+        """
+        if self._pattern is None:
+            edges = [None] * (len(self.remote) + len(self.local))
+            for src, dst, size, uid in self.remote:
+                edges[uid] = (src, dst, size)
+            for src, size, uid in self.local:
+                edges[uid] = (src, src, size)
+            self._pattern = CommPattern(self.num_procs, edges)
+        return self._pattern
 
 
 class ProgramPlan:
-    """A :class:`ProgramTrace` compiled for batch evaluation.
+    """An oblivious program compiled into flat per-step records.
 
     The plan is read-only and shared: one compilation serves every lane
-    of a batch over the same trace.  ``op_table`` holds the distinct
-    ``(op, b)`` pairs the program prices; each step's work is an index
-    array into a per-lane cost vector built from that table, so the
-    computation phase becomes one gather + one sequential fold per
-    (step, processor) for *all* lanes together.
+    of a batch (and the emulator) over the same program.  ``op_table``
+    holds the distinct ``(op, b)`` pairs the program prices; each
+    step's work is a list of slots into a per-lane cost vector built
+    from that table, so the computation phase becomes one gather + one
+    sequential fold per (step, processor) for *all* lanes together.
+
+    ``steps`` is an iterable of ``(work, messages)`` pairs, one per
+    program step: ``work`` maps each processor, in phase order, to its
+    ``(op, b, i, j, k)`` work records, and ``messages`` lists the
+    step's ``(src, dst, size)`` sends in program order.  A message's
+    uid is its position in that list — what
+    :class:`~repro.core.message.CommPattern` assigns.  ``block_counts``
+    is each processor's number of distinct blocks, as
+    :meth:`ProgramTrace.blocks_by_proc` counts them.
     """
 
-    __slots__ = ("trace", "num_procs", "op_table", "steps")
+    __slots__ = ("num_procs", "op_table", "steps", "meta", "block_counts")
 
-    def __init__(self, trace: ProgramTrace):
-        self.trace = trace
-        self.num_procs = trace.num_procs
+    def __init__(self, num_procs: int, steps, meta: dict):
+        self.num_procs = num_procs
+        self.meta = dict(meta)
         op_index: dict[tuple[str, int], int] = {}
-        op_table: list[tuple[str, int]] = []
-        steps: list[_PlanStep] = []
-        for step in trace.steps:
+        blocks: list[set] = [set() for _ in range(num_procs)]
+        plan_steps: list[_PlanStep] = []
+        for work, messages in steps:
             comp = []
-            for proc, ops in step.work.items():
-                if not ops:
+            for proc, records in work.items():
+                if not records:
                     continue
-                idx = []
-                for w in ops:
-                    key = (w.op, w.b)
+                slots = []
+                mine = blocks[proc]
+                for rec in records:
+                    key = (rec[0], rec[1])
                     slot = op_index.get(key)
                     if slot is None:
-                        slot = op_index[key] = len(op_table)
-                        op_table.append(key)
-                    idx.append(slot)
-                comp.append((proc, idx, np.asarray(idx, dtype=np.intp)))
-            pattern = step.pattern
-            participants: tuple[int, ...] = ()
-            if pattern is not None:
-                remote = pattern.remote_messages()
-                if remote:
-                    participants = tuple(
-                        sorted({p for m in remote for p in (m.src, m.dst)})
-                    )
-                else:
-                    pattern = None
-            else:
-                pattern = None
-            steps.append(_PlanStep(comp, pattern, participants))
-        self.op_table = tuple(op_table)
-        self.steps = steps
+                        slot = op_index[key] = len(op_index)
+                    slots.append(slot)
+                    mine.add((rec[2], rec[3]))
+                comp.append((proc, slots, records))
+            remote = [
+                (src, dst, size, uid)
+                for uid, (src, dst, size) in enumerate(messages) if src != dst
+            ]
+            local = [
+                (src, size, uid)
+                for uid, (src, dst, size) in enumerate(messages) if src == dst
+            ]
+            touched = {r[0] for r in remote} | {r[1] for r in remote}
+            plan_steps.append(
+                _PlanStep(num_procs, comp, remote, local, tuple(sorted(touched)))
+            )
+        self.op_table = tuple(op_index)
+        self.steps = plan_steps
+        # anonymous work is tagged (-1, -1) and counts as no block
+        self.block_counts = tuple(len(mine - {(-1, -1)}) for mine in blocks)
 
 
 def compile_plan(trace: ProgramTrace) -> ProgramPlan:
-    """Compile ``trace`` for batch evaluation (pure, no caching)."""
-    return ProgramPlan(trace)
+    """Compile any ``trace`` into the plan format (pure, no caching)."""
+    return ProgramPlan(
+        trace.num_procs,
+        (
+            (
+                {
+                    proc: [
+                        (w.op, w.b, w.block[0], w.block[1], w.iteration)
+                        for w in ops
+                    ]
+                    for proc, ops in step.work.items()
+                },
+                [] if step.pattern is None
+                else [(m.src, m.dst, m.size) for m in step.pattern],
+            )
+            for step in trace.steps
+        ),
+        trace.meta,
+    )
 
 
 def ge_plan(n: int, b: int, layout_name: str, P: int) -> ProgramPlan:
     """The compiled plan of one GE configuration, built on every call.
 
-    Nothing is cached across calls (see :mod:`repro.kernel.tracecache`):
-    one batch call compiles one plan per configuration and every lane of
-    that configuration shares it.
+    Compiled straight from the wavefront recurrence
+    (:func:`repro.apps.gauss.ge_steps`): no :class:`ProgramTrace`,
+    ``Work`` or ``Message`` object is built.  Nothing is cached across
+    calls: one batch call compiles one plan per configuration and every
+    lane of that configuration shares it.
     """
-    return ProgramPlan(ge_trace(n, b, layout_name, P))
+    config = GEConfig(n=n, b=b, layout=LAYOUTS[layout_name](n // b, P))
+    return ProgramPlan(P, ge_steps(config), ge_meta(config))
 
 
 def _lane_cost_table(cost_model, op_table) -> list[float]:
@@ -179,21 +241,21 @@ def _fold_computation(plan: ProgramPlan, machines) -> list[list[tuple]]:
         table = cost_lists[0]
         for pstep in plan.steps:
             row = []
-            for proc, idx_list, _ in pstep.comp:
+            for proc, slots, _ in pstep.work:
                 t = 0.0
-                for j in idx_list:
+                for j in slots:
                     t += table[j]
-                row.append((proc, len(idx_list), (t,)))
+                row.append((proc, len(slots), (t,)))
             folds.append(row)
         return folds
     C = np.array(cost_lists, dtype=np.float64).T  # (op, lane)
     for pstep in plan.steps:
         row = []
-        for proc, idx_list, idx_arr in pstep.comp:
-            seq = C[idx_arr]  # (k, lanes)
+        for proc, slots, _ in pstep.work:
+            seq = C[slots]  # (k, lanes)
             # sequential left-fold per lane — NOT np.sum (pairwise)
-            t = seq[0] if len(idx_list) == 1 else np.add.accumulate(seq, axis=0)[-1]
-            row.append((proc, len(idx_list), t.tolist()))
+            t = seq[0] if len(slots) == 1 else np.add.accumulate(seq, axis=0)[-1]
+            row.append((proc, len(slots), t.tolist()))
         folds.append(row)
     return folds
 
@@ -232,11 +294,11 @@ def _replay(
                         )
                     clocks[proc] += t
                     comp[proc] += t
-            if pstep.pattern is None:
+            if not pstep.remote:
                 continue
             starts = {p: clocks[p] for p in pstep.participants}
             if step_fn is not None:
-                ctimes, busy = step_fn(params, pstep.pattern, starts, rng)
+                ctimes, busy = step_fn(params, pstep.remote, starts, rng)
             else:
                 result = simulate(params, pstep.pattern, start_times=starts, rng=rng)
                 ctimes, busy = result.ctimes, result.timeline.busy_times()
@@ -252,7 +314,7 @@ def _replay(
         per_proc_total_us=dict(enumerate(clocks)),
         per_proc_comm_busy_us=dict(enumerate(comm_busy)),
         steps=[],
-        meta=dict(plan.trace.meta),
+        meta=dict(plan.meta),
     )
 
 
@@ -273,6 +335,8 @@ def _lane_reports(
     for mode in modes:
         if mode not in program_sim._SIMULATORS:
             raise ValueError(f"unknown mode {mode!r}")
+    if not machines:
+        return
     folds = _fold_computation(plan, machines)
     for i, (params, _) in enumerate(machines):
         yield {
@@ -324,6 +388,7 @@ def evaluate_ge_points_batch(
     params: LogGPParameters,
     cost_model,
     uq=None,
+    done: Optional[Callable[[int, dict], None]] = None,
 ) -> list[dict]:
     """Batch twin of :func:`repro.core.predictor.summarize_ge_point`.
 
@@ -338,7 +403,9 @@ def evaluate_ge_points_batch(
     by point in group order (grid order for any grid whose points of one
     configuration are adjacent, as :func:`repro.sweep.expand_grid`'s are).
 
-    Returns the flat summary dicts in input order.
+    Returns the flat summary dicts in input order.  ``done(position,
+    summary)``, if given, is called as each point finishes, so a caller
+    keeps the points a failing batch completed before it raised.
     """
     from ..core.predictor import _flatten_ge_row, _measured_report, _uq_machine, GERow
 
@@ -371,7 +438,7 @@ def evaluate_ge_points_batch(
             measured = None
             if point.with_measured:
                 measured = _measured_report(
-                    plan.trace, machines[lane][0], machines[lane][1],
+                    plan, machines[lane][0], machines[lane][1],
                     point.seed, emulator=emulators[lane],
                 )
             row = GERow(
@@ -381,7 +448,9 @@ def evaluate_ge_points_batch(
                 measured=measured,
             )
             out[pos] = _flatten_ge_row(row, point.seed)
-        # release this configuration's trace before the next is built, so
+            if done is not None:
+                done(pos, out[pos])
+        # release this configuration's plan before the next is built, so
         # at most one is alive at a time
         del plan, lanes
     return out  # type: ignore[return-value]

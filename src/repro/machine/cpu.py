@@ -40,18 +40,21 @@ def touched_blocks(work: Work) -> list[tuple[Hashable, int]]:
     Keys distinguish matrix blocks from the factor/stream buffers flowing
     through the wavefront; byte sizes are float64 footprints.
     """
-    b = work.b
-    block_bytes = b * b * 8
-    tri_bytes = b * (b + 1) // 2 * 8
     i, j = work.block
-    k = work.iteration
-    if work.op == "op1":
+    return _touched(work.op, work.b, i, j, work.iteration)
+
+
+def _touched(op: str, b: int, i: int, j: int, k: int) -> list[tuple[Hashable, int]]:
+    """:func:`touched_blocks` of the work record ``(op, b, i, j, k)``."""
+    block_bytes = b * b * 8
+    if op == "op1":
         return [(("blk", i, j), block_bytes)]
-    if work.op == "op2":
+    tri_bytes = b * (b + 1) // 2 * 8
+    if op == "op2":
         return [(("blk", i, j), block_bytes), (("factL", k), tri_bytes)]
-    if work.op == "op3":
+    if op == "op3":
         return [(("blk", i, j), block_bytes), (("factU", k), tri_bytes)]
-    if work.op == "op4":
+    if op == "op4":
         return [
             (("blk", i, j), block_bytes),
             (("col", i, k), block_bytes),
@@ -115,7 +118,29 @@ class NodeCPU:
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def run_phase(self, ops: Sequence[Work]) -> CompPhaseResult:
+        """Execute one computation phase of :class:`Work` records.
+
+        :meth:`run_records` over the phase's own warm costs.
+        """
+        cost = self.cost_model.cost
+        return self.run_records(
+            [cost(w.op, w.b) for w in ops],
+            range(len(ops)),
+            [(w.op, w.b, w.block[0], w.block[1], w.iteration) for w in ops],
+        )
+
+    def run_records(
+        self,
+        table: Sequence[float],
+        slots: Sequence[int],
+        records: Sequence[tuple],
+    ) -> CompPhaseResult:
         """Execute one computation phase; returns its timing breakdown.
+
+        Operation ``n`` of the phase costs ``table[slots[n]]`` warm (a
+        compiled plan's op table priced by this node's cost model) and
+        touches the operand blocks of its ``(op, b, i, j, k)`` work
+        record ``records[n]``.
 
         Miss penalties are scaled by a *cacheability factor*
         ``max(0, 1 - footprint/capacity)``: an operation whose operands
@@ -128,18 +153,18 @@ class NodeCPU:
         generator feeds nothing else, and a vector of normals (and its
         ``np.exp``) equals the same number of scalar draws, bit for bit.
         """
+        n_ops = len(records)
         if self.noise_sigma == 0.0:
-            noise = [1.0] * len(ops)
+            noise = [1.0] * n_ops
         else:
-            noise = np.exp(self.rng.normal(0.0, self.noise_sigma, size=len(ops))).tolist()
-        cost = self.cost_model.cost
+            noise = np.exp(self.rng.normal(0.0, self.noise_sigma, size=n_ops)).tolist()
         cache = self.cache
         warm = 0.0
         cache_extra = 0.0
-        for w, factor in zip(ops, noise):
-            warm += cost(w.op, w.b) * factor
+        for slot, record, factor in zip(slots, records, noise):
+            warm += table[slot] * factor
             if cache is not None:
-                touched = touched_blocks(w)
+                touched = _touched(*record)
                 footprint = sum(nbytes for _, nbytes in touched)
                 cacheable = max(0.0, 1.0 - footprint / cache.capacity_bytes)
                 for key, nbytes in touched:
@@ -147,7 +172,7 @@ class NodeCPU:
                         cache_extra += (
                             (nbytes / self.line_bytes) * self.miss_penalty_us * cacheable
                         )
-        scan = self.scan_us_per_block * self.assigned_blocks if ops else 0.0
+        scan = self.scan_us_per_block * self.assigned_blocks if n_ops else 0.0
         return CompPhaseResult(
             total_us=warm + cache_extra + scan,
             warm_us=warm,

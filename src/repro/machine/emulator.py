@@ -44,7 +44,6 @@ from ..core.des_check import simulate_causal
 from ..core.loggp import LogGPParameters
 from ..kernel.memo import memoize
 from ..obs.events import get_tracer
-from ..trace.program import ProgramTrace
 from .cache import BlockCache
 from .cpu import NodeCPU
 from .network import JitteredNetwork
@@ -115,7 +114,7 @@ class MeasuredReport:
 
 
 class MachineEmulator:
-    """Executes a program trace on the emulated Meiko-CS-2 stand-in.
+    """Executes a program on the emulated Meiko-CS-2 stand-in.
 
     Parameters
     ----------
@@ -163,8 +162,13 @@ class MachineEmulator:
         self.scan_us_per_block = scan_us_per_block
         self.seed = seed
 
-    def run(self, trace: ProgramTrace) -> MeasuredReport:
+    def run(self, program) -> MeasuredReport:
         """Execute the program; returns the emulated measurements.
+
+        ``program`` is a :class:`~repro.trace.program.ProgramTrace` or an
+        already compiled :class:`~repro.kernel.vector.ProgramPlan`; a
+        trace is compiled first (:func:`~repro.kernel.vector.compile_plan`),
+        so both run the same loop over the plan's flat records.
 
         When the ambient observability tracer is enabled, the run emits
         structured events on the ``emulator`` track: per-phase ``compute``
@@ -172,15 +176,20 @@ class MachineEmulator:
         self-messages, and the causal communication model's
         ``comm``/``send``/``recv`` slices (see :mod:`repro.obs`).  Only a
         traced run builds those events: it looks the causal model up as
-        this module's ``simulate_causal`` (the oracle's injection point),
-        while an untraced run replays each step for its clocks alone.
+        this module's ``simulate_causal`` (the oracle's injection point)
+        and hands it the step's pattern, built from the plan's records on
+        first use; an untraced run replays each step's records for their
+        clocks alone.
         """
+        # imported on first run, so loading the CLI imports nothing new
+        from ..kernel.vector import ProgramPlan, compile_plan
+
+        plan = program if isinstance(program, ProgramPlan) else compile_plan(program)
         tracer = get_tracer()
         with tracer.in_track("emulator"):
-            return self._run_traced(trace, tracer)
+            return self._run_plan(plan, tracer)
 
-    def _run_traced(self, trace: ProgramTrace, tracer) -> MeasuredReport:
-        # imported on first run, so loading the CLI imports nothing new
+    def _run_plan(self, plan, tracer) -> MeasuredReport:
         from ..kernel.fastdes import causal_step
 
         # the two slice categories this loop emits, hoisted out of it
@@ -190,31 +199,32 @@ class MachineEmulator:
         # separately and multiplies the (pure) cost — so memoising the
         # cost changes nothing, including the RNG stream.
         cost_model = memoize(self.cost_model)
-        owned = trace.blocks_by_proc()
-        cpus: dict[int, NodeCPU] = {}
-        for p in range(trace.num_procs):
-            cache = BlockCache(self.cache_bytes) if self.cache_bytes else None
-            cpus[p] = NodeCPU(
+        table = [cost_model.cost(op, b) for op, b in plan.op_table]
+        P = plan.num_procs
+        cpus = [
+            NodeCPU(
                 cost_model=cost_model,
-                cache=cache,
-                assigned_blocks=len(owned.get(p, {})),
+                cache=BlockCache(self.cache_bytes) if self.cache_bytes else None,
+                assigned_blocks=plan.block_counts[p],
                 line_bytes=self.line_bytes,
                 miss_penalty_us=self.miss_penalty_us,
                 scan_us_per_block=self.scan_us_per_block,
                 noise_sigma=self.noise_sigma,
                 rng=np.random.default_rng((self.seed, p)),
             )
+            for p in range(P)
+        ]
+        network = self.network
+        latency_of = network.latency_of
 
-        clocks = {p: 0.0 for p in range(trace.num_procs)}
-        comp = {p: 0.0 for p in range(trace.num_procs)}
-        cache_acc = {p: 0.0 for p in range(trace.num_procs)}
-        local_acc = {p: 0.0 for p in range(trace.num_procs)}
+        clocks = [0.0] * P
+        comp = [0.0] * P
+        cache_acc = [0.0] * P
+        local_acc = [0.0] * P
 
-        for step_idx, step in enumerate(trace.steps):
-            for proc, ops in step.work.items():
-                if not ops:
-                    continue
-                phase = cpus[proc].run_phase(ops)
+        for step_idx, pstep in enumerate(plan.steps):
+            for proc, slots, records in pstep.work:
+                phase = cpus[proc].run_records(table, slots, records)
                 if traced:
                     tracer.slice(
                         "compute", proc=proc, ts=clocks[proc],
@@ -226,44 +236,42 @@ class MachineEmulator:
                 comp[proc] += phase.warm_us + phase.scan_us
                 cache_acc[proc] += phase.cache_us
 
-            if step.pattern is None:
-                continue
-            remote = step.pattern.remote_messages()
-            if remote:
-                participants = {p for m in remote for p in (m.src, m.dst)}
+            if pstep.remote:
+                participants = pstep.participants
                 starts = {p: clocks[p] for p in participants}
                 if tracer.enabled:
                     ctimes = simulate_causal(
                         self.params,
-                        step.pattern,
+                        pstep.pattern,
                         start_times=starts,
-                        latency_of=self.network.latency_of,
+                        latency_of=latency_of,
                     ).ctimes
                 else:
-                    # only the clocks are read: replay without events
+                    # only the clocks are read: replay the records
+                    # without events
                     ctimes, _ = causal_step(
-                        self.params, step.pattern, starts, self.network.latency_of
+                        self.params, pstep.remote, starts, latency_of
                     )
                 for p in participants:
                     clocks[p] = ctimes.get(p, clocks[p])
-            for msg in step.pattern.local_messages():
-                cost = self.network.local_copy_us(msg)
+            for src, size, _ in pstep.local:
+                cost = network.copy_us(size)
                 if traced_copy:
                     tracer.slice(
-                        "local_copy", proc=msg.src, ts=clocks[msg.src],
-                        dur=cost, bytes=msg.size, step=step_idx,
+                        "local_copy", proc=src, ts=clocks[src],
+                        dur=cost, bytes=size, step=step_idx,
                     )
-                clocks[msg.src] += cost
-                local_acc[msg.src] += cost
+                clocks[src] += cost
+                local_acc[src] += cost
 
         if tracer.enabled:
             tracer.count("emulator.runs")
-            tracer.count("emulator.steps", len(trace.steps))
+            tracer.count("emulator.steps", len(plan.steps))
         return MeasuredReport(
-            total_us=max(clocks.values(), default=0.0),
-            per_proc_comp_us=comp,
-            per_proc_cache_us=cache_acc,
-            per_proc_local_us=local_acc,
-            per_proc_total_us=dict(clocks),
-            meta=dict(trace.meta),
+            total_us=max(clocks, default=0.0),
+            per_proc_comp_us=dict(enumerate(comp)),
+            per_proc_cache_us=dict(enumerate(cache_acc)),
+            per_proc_local_us=dict(enumerate(local_acc)),
+            per_proc_total_us=dict(enumerate(clocks)),
+            meta=dict(plan.meta),
         )

@@ -64,8 +64,14 @@ class JitteredNetwork:
             self.jitter_sigma, self.straggler_prob, self.straggler_factor
         )
 
-    def latency_of(self, message: Message) -> float:
-        """Sampled wire latency (µs) for one message (mean ``params.L``)."""
+    def latency_of(self, message) -> float:
+        """Sampled wire latency (µs) for one message (mean ``params.L``).
+
+        The draw ignores ``message``: the emulator hands a traced step's
+        :class:`Message` and an untraced step's ``(src, dst, size, uid)``
+        record (:func:`repro.kernel.fastdes.causal_step`), so a subclass
+        whose latency depends on the message must accept both shapes.
+        """
         return apply_jitter(
             self.params.L * self._norm,
             self._rng,
@@ -78,4 +84,8 @@ class JitteredNetwork:
         """Cost of a same-processor transfer (µs)."""
         if not message.is_local:
             raise ValueError("local_copy_us() expects a self-message")
-        return message.size * self.local_copy_us_per_byte
+        return self.copy_us(message.size)
+
+    def copy_us(self, size: int) -> float:
+        """Cost of copying ``size`` bytes locally (µs)."""
+        return size * self.local_copy_us_per_byte

@@ -123,7 +123,8 @@ def _evaluate_point(
 ) -> PointSummary:
     """One point as a one-point batch: compute, store put, cost observed.
 
-    What :func:`_evaluate_chunk` redoes a failed batch with.
+    What :func:`_evaluate_chunk` redoes a failed batch's unfinished
+    points with.
     """
     return _evaluate_pending_batch([(0, point)], params, cost_model, store, uq)[0][1]
 
@@ -144,25 +145,41 @@ def _evaluate_chunk(
     given; which points are pending is :func:`run_sweep`'s call.  Every
     evaluation calibrates the executor's point-cost model.
 
-    A batch is all-or-nothing, so a failed one is redone point by point:
-    every point before the failing one is persisted for a resumed run,
-    and the failure surfaces from its own point.  The redo runs
-    untraced, because the batch already recorded every configuration
-    group it finished before the failure (point by point, in group
-    order); so a traced failed chunk records each point at most once.
-    When the chunk's configurations interleave, a finished group can
-    hold points after the failing one, which are then recorded but not
-    persisted.
+    A batch returns all its points or raises, so a failed one is
+    recovered untraced: every point the batch finished before the
+    failure is persisted for a resumed run, and only the points it did
+    not finish are redone, one by one, so the failure surfaces from its
+    own point.  The batch recorded each point it reached, and the
+    recovery records nothing, so a traced failed chunk records — and
+    computes — each point at most once.
     """
+    finished: dict[int, dict] = {}
     try:
-        return _evaluate_pending_batch(indexed, params, cost_model, store, uq)
+        return _evaluate_pending_batch(
+            indexed, params, cost_model, store, uq, finished
+        )
     except Exception:  # noqa: BLE001 - re-raised by the point that fails
         pass
     with tracing(NULL_TRACER):
+        stored = {
+            pos: _persist(summary, indexed[pos][1], store)
+            for pos, summary in finished.items()
+        }
         return [
-            (idx, _evaluate_point(point, params, cost_model, store, uq))
-            for idx, point in indexed
+            (idx, stored[pos] if pos in stored
+             else _evaluate_point(point, params, cost_model, store, uq))
+            for pos, (idx, point) in enumerate(indexed)
         ]
+
+
+def _persist(
+    summary: dict, point: SweepPoint, store: Optional[ExperimentStore]
+) -> PointSummary:
+    """One flat summary dict as a :class:`PointSummary`, put in ``store``."""
+    stored = PointSummary(**summary)
+    if store is not None:
+        store.put(stored, with_measured=point.with_measured)
+    return stored
 
 
 def _run_chunk(payload):
@@ -286,6 +303,7 @@ def _evaluate_pending_batch(
     cost_model: CostModel,
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec],
+    finished: Optional[dict[int, dict]] = None,
 ) -> list[tuple[int, PointSummary]]:
     """Chunk evaluation through the batch kernel: compute all, then put.
 
@@ -294,12 +312,18 @@ def _evaluate_pending_batch(
     lanes sharing a configuration fold over one compiled plan, then
     persists each summary.  Results come back in ``pending`` order, and
     the measured wall time calibrates the executor's point-cost model.
+    ``finished``, when given, collects ``{position: summary dict}`` of
+    each point as the batch completes it — also when the batch then
+    raises.
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
     points = [pt for _, pt in pending]
     t0 = time.perf_counter()
-    summaries = evaluate_ge_points_batch(points, params, cost_model, uq=uq)
+    summaries = evaluate_ge_points_batch(
+        points, params, cost_model, uq=uq,
+        done=None if finished is None else finished.__setitem__,
+    )
     elapsed = time.perf_counter() - t0
     # Apportion the batch's wall time across its points by weight: each
     # observation then carries the batch's mean rate, which is what the
@@ -307,11 +331,8 @@ def _evaluate_pending_batch(
     total_w = grid_weight(points)
     rate = elapsed / total_w if total_w > 0.0 else 0.0
     results: list[tuple[int, PointSummary]] = []
-    for (idx, point), summary_dict in zip(pending, summaries):
-        summary = PointSummary(**summary_dict)
-        if store is not None:
-            store.put(summary, with_measured=point.with_measured)
-        results.append((idx, summary))
+    for (idx, point), summary in zip(pending, summaries):
+        results.append((idx, _persist(summary, point, store)))
         observe_point_cost(
             point.n, point.b, point.with_measured,
             rate * point_weight(point.n, point.b, point.with_measured),

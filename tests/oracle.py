@@ -10,7 +10,10 @@ package ran before the kernel became its only engine:
 * :func:`simulate_causal_reference` — the causal active-message model as
   one coroutine per processor on the :mod:`repro.des` engine;
 * :func:`run_phase_reference` — the emulated node's computation phase,
-  drawing its timing noise one scalar draw per operation.
+  drawing its timing noise one scalar draw per operation;
+* :func:`build_ge_trace_reference` — the GE wavefront trace, built block
+  by block as :class:`~repro.trace.program.Work` and
+  :class:`~repro.core.message.CommPattern` objects.
 
 Runtime does not need them: :mod:`repro.kernel` computes the same values
 bit for bit with less interpreter overhead.  The kernel's tests compare
@@ -32,6 +35,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
+from repro.apps.gauss import GEConfig
 from repro.core import program_sim
 from repro.core.events import CommEvent, StepTimeline
 from repro.core.loggp import LogGPParameters, OpKind
@@ -42,12 +46,14 @@ from repro.machine import emulator as emulator_mod
 from repro.machine.cpu import CompPhaseResult, NodeCPU, touched_blocks
 from repro.obs import TraceConfig, Tracer, tracing
 from repro.obs.events import get_tracer
+from repro.trace.program import ProgramTrace, Step, Work
 
 __all__ = [
     "simulate_standard_reference",
     "simulate_worstcase_reference",
     "simulate_causal_reference",
     "run_phase_reference",
+    "build_ge_trace_reference",
     "REFERENCE_SIMULATORS",
     "reference_engine",
 ]
@@ -418,6 +424,97 @@ def run_phase_reference(cpu: NodeCPU, ops) -> CompPhaseResult:
         cache_us=cache_extra,
         scan_us=scan,
     )
+
+
+# -- the GE program trace --------------------------------------------------
+
+
+def _op_of_reference(i: int, j: int, k: int) -> str:
+    if i == k and j == k:
+        return "op1"
+    if i == k:
+        return "op2"
+    if j == k:
+        return "op3"
+    return "op4"
+
+
+def build_ge_trace_reference(config: GEConfig) -> ProgramTrace:
+    """The wavefront GE program trace, built block by block as objects.
+
+    The readable transcription of the recurrence in
+    :func:`repro.apps.gauss.ge_steps`: ``tests/test_ge_plan_direct.py``
+    holds ``build_ge_trace`` and the directly compiled ``ge_plan`` to it.
+
+    The trace has ``3*(nb-1) + 1`` steps; step ``t`` holds the computation
+    of every block ``(i, j, k)`` with ``3k + (i-k) + (j-k) == t`` and the
+    communication pattern of the data those blocks emit.
+    """
+    nb = config.nb
+    b = config.b
+    layout = config.layout
+    owner = layout.owner
+    block_bytes = b * b * 8
+    factor_bytes = b * (b + 1) // 2 * 8  # one triangular factor
+
+    trace = ProgramTrace(num_procs=layout.num_procs)
+    last_t = 3 * (nb - 1)
+    for t in range(last_t + 1):
+        work: dict[int, list[Work]] = {}
+        pattern = CommPattern(layout.num_procs)
+        # iterations whose wave is alive at step t
+        k_hi = min(t // 3, nb - 1)
+        for k in range(k_hi + 1):
+            s = t - 3 * k
+            if s > 2 * (nb - 1 - k):
+                continue
+            # blocks (i, j) with i,j >= k and (i-k) + (j-k) == s
+            di_lo = max(0, s - (nb - 1 - k))
+            di_hi = min(s, nb - 1 - k)
+            for di in range(di_lo, di_hi + 1):
+                i = k + di
+                j = k + (s - di)
+                me = owner(i, j)
+                op = _op_of_reference(i, j, k)
+                work.setdefault(me, []).append(
+                    Work(op=op, b=b, block=(i, j), iteration=k)
+                )
+                # outgoing data (systolic forwarding)
+                if op == "op1":
+                    if j + 1 < nb:
+                        pattern.add(me, owner(i, j + 1), factor_bytes)
+                    if i + 1 < nb:
+                        pattern.add(me, owner(i + 1, j), factor_bytes)
+                elif op == "op2":
+                    if j + 1 < nb:
+                        pattern.add(me, owner(i, j + 1), factor_bytes)
+                    if i + 1 < nb:
+                        pattern.add(me, owner(i + 1, j), block_bytes)
+                elif op == "op3":
+                    if i + 1 < nb:
+                        pattern.add(me, owner(i + 1, j), factor_bytes)
+                    if j + 1 < nb:
+                        pattern.add(me, owner(i, j + 1), block_bytes)
+                else:  # op4 forwards both streams
+                    if j + 1 < nb:
+                        pattern.add(me, owner(i, j + 1), block_bytes)
+                    if i + 1 < nb:
+                        pattern.add(me, owner(i + 1, j), block_bytes)
+        trace.add_step(Step(work=work, pattern=pattern, label=f"t={t}"))
+
+    trace.meta.update(
+        {
+            "app": "gauss",
+            "n": config.n,
+            "b": b,
+            "nb": nb,
+            "layout": layout.name,
+            "num_procs": layout.num_procs,
+            "block_bytes": block_bytes,
+            "factor_bytes": factor_bytes,
+        }
+    )
+    return trace
 
 
 REFERENCE_SIMULATORS = {

@@ -43,6 +43,18 @@ def _latencies(sequence):
     return latency_of, asked
 
 
+def _record_latencies(sequence):
+    """:func:`_latencies` for a replay that hands ``(src, dst, size, uid)``
+    records instead of messages."""
+    asked = []
+
+    def latency_of(record):
+        asked.append(record[3])
+        return sequence[(len(asked) - 1) % len(sequence)]
+
+    return latency_of, asked
+
+
 def _run(simulate, params, pattern, starts, sequence):
     clear_all_caches()
     latency_of, asked = _latencies(sequence) if sequence else (None, [])
@@ -83,7 +95,8 @@ def test_causal_kernel_equals_des_reference(P, edges, clocks, machine, sequence)
     got = _run(simulate_causal, machine, pattern, starts, sequence)
     assert got == ref
 
-    # the event-free replay: same clocks, same count, same draws
-    latency_of, asked = _latencies(sequence) if sequence else (None, [])
-    ctimes, des_events = causal_step(machine, pattern, starts, latency_of)
+    # the event-free replay of the records: same clocks, same count, and
+    # the same draws, asked for with each message's record
+    latency_of, asked = _record_latencies(sequence) if sequence else (None, [])
+    ctimes, des_events = causal_step(machine, pattern.remote_records(), starts, latency_of)
     assert (repr(ctimes), des_events, asked) == (ref[1], ref[2], ref[3])

@@ -85,7 +85,9 @@ def _check(engine, params, pattern, starts, seed):
     # the folded step, with and without a sink
     for sink in ([], None):
         rng = np.random.default_rng(seed)
-        ctimes, busy = step(params, pattern, starts, rng, sink)
+        ctimes, busy = step(
+            params, pattern.remote_records(), starts, rng, sink, pattern.messages
+        )
         assert repr(ctimes) == repr(ref.ctimes)
         assert set(ref_busy) <= set(busy)
         assert repr(busy) == repr({p: ref_busy.get(p, 0.0) for p in busy})

@@ -1,11 +1,12 @@
-"""The kernel keeps no GE trace or compiled plan once a call returns.
+"""The kernel builds no GE trace and keeps no compiled plan past a call.
 
-A GE trace is large (~12 MB at n=480, b=10, plus ~1.5 MB for its plan),
-so a process that kept traces across calls would hold several times the
-memory of the simulation itself.  The kernel builds each configuration's
-trace and plan per call and shares them only among the lanes of that
-call.  These tests pin that with weak references: once the call returns,
-every trace and plan it built must be gone.
+A GE program is large (a ~12 MB trace at n=480, b=10; its plan is a
+fraction of that), so a process that kept programs across calls would
+hold several times the memory of the simulation itself.  The kernel
+compiles each configuration's plan straight from the wavefront recurrence
+per call, builds no trace at all, and shares the plan only among the
+lanes of that call.  These tests pin that with weak references: once the
+call returns, every plan it built must be gone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import weakref
 
 import pytest
 
-from repro.apps import PAPER_BLOCK_SIZES
+from repro.apps import PAPER_BLOCK_SIZES, gauss
 from repro.core import MEIKO_CS2, CalibratedCostModel
 from repro.kernel import tracecache, vector
 from repro.kernel.vector import evaluate_ge_points_batch
@@ -35,11 +36,12 @@ def built(monkeypatch):
         return trace
 
     class TrackedPlan(vector.ProgramPlan):
-        def __init__(self, trace):
-            super().__init__(trace)
+        def __init__(self, *args):
+            super().__init__(*args)
             refs["plans"].append(weakref.ref(self))
 
     monkeypatch.setattr(tracecache, "build_ge_trace", tracked_build)
+    monkeypatch.setattr(gauss, "build_ge_trace", tracked_build)
     monkeypatch.setattr(vector, "ProgramPlan", TrackedPlan)
     return refs
 
@@ -56,9 +58,9 @@ def test_batch_call_keeps_no_trace_or_plan(built):
     ]
     summaries = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
     assert len(summaries) == 3
-    # one trace and one plan per configuration, shared by its lanes
-    assert len(built["traces"]) == len(built["plans"]) == 2
-    assert _alive(built["traces"]) == 0
+    # one plan per configuration, shared by its lanes, and no trace
+    assert len(built["plans"]) == 2
+    assert built["traces"] == []
     assert _alive(built["plans"]) == 0
 
 
@@ -68,6 +70,6 @@ def test_fig7_sweep_keeps_no_trace(built):
     grid = expand_grid(480, blocks, ["diagonal", "stripped"])
     result = run_sweep(grid, MEIKO_CS2, CM, executor="serial")
     assert result.stats.computed == len(grid)
-    assert len(built["traces"]) == len(grid)
-    assert _alive(built["traces"]) == 0
+    assert len(built["plans"]) == len(grid)
+    assert built["traces"] == []
     assert _alive(built["plans"]) == 0

@@ -23,7 +23,8 @@ import pytest
 
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.predictor import GERow, _flatten_ge_row, _uq_machine, run_ge_point
-from repro.experiments import PointSummary
+from repro.experiments import ExperimentStore, PointSummary
+from repro.kernel import vector
 from repro.kernel.tracecache import ge_trace
 from repro.kernel.vector import evaluate_ge_points_batch, ge_plan
 from repro.machine import MachineEmulator
@@ -132,7 +133,7 @@ def oracle_calls(monkeypatch):
 
 
 def _comm_steps(n, b, layout) -> int:
-    return sum(s.pattern is not None for s in ge_plan(n, b, layout, PARAMS.P).steps)
+    return sum(bool(s.remote) for s in ge_plan(n, b, layout, PARAMS.P).steps)
 
 
 def test_reference_engine_reaches_oracle_from_run_ge_point(oracle_calls):
@@ -167,10 +168,9 @@ class _FailsAtB40(CalibratedCostModel):
 
 
 def test_failed_traced_chunk_records_each_point_once():
-    """The batch fails at b=40 after recording b=24; the point-by-point
-    redo evaluates b=24 again (for the store) and re-raises from b=40
-    without recording b=24 twice: the trace holds what one evaluation
-    of b=24 records."""
+    """The batch fails at b=40 after recording b=24; the untraced redo
+    re-raises from b=40 without recording b=24 twice: the trace holds
+    what one evaluation of b=24 records."""
     grid = expand_grid(120, [24, 40], ["diagonal"], with_measured=False)
     tracer = Tracer()
     with tracing(tracer), pytest.raises(RuntimeError, match="boom at b=40"):
@@ -183,3 +183,24 @@ def test_failed_traced_chunk_records_each_point_once():
     assert counters["sim.program_steps"] == 26
     assert counters == _counters(alone)
     assert _stream(tracer) == _stream(alone)
+
+
+def test_failed_chunk_persists_finished_points_without_recomputing(tmp_path, monkeypatch):
+    """The batch finishes b=24, then fails at b=40: b=24 is stored from
+    the batch's own result (its plan compiled once), and only b=40 is
+    redone, which raises again."""
+    calls: Counter = Counter()
+    compile_ge_plan = vector.ge_plan
+
+    def counted(n, b, layout, P):
+        calls[(n, b, layout)] += 1
+        return compile_ge_plan(n, b, layout, P)
+
+    monkeypatch.setattr(vector, "ge_plan", counted)
+    grid = expand_grid(120, [24, 40], ["diagonal"], with_measured=False)
+    with pytest.raises(RuntimeError, match="boom at b=40"):
+        run_sweep(grid, PARAMS, _FailsAtB40(), workers=1, store=tmp_path)
+    store = ExperimentStore(tmp_path, PARAMS, _FailsAtB40())
+    assert store.get(120, 24, "diagonal", seed=0, with_measured=False) is not None
+    assert store.get(120, 40, "diagonal", seed=0, with_measured=False) is None
+    assert calls[(120, 24, "diagonal")] == 1

@@ -164,6 +164,16 @@ def test_width_one_specialisation_matches_wide_batch(spec, machine, seeds):
             assert _report_key(reports[mode]) == _report_key(narrow[mode])
 
 
+def test_empty_batch_returns_no_lanes():
+    """A batch of zero lanes simulates nothing and returns ``[]``."""
+    builder = TraceBuilder(2)
+    builder.work(0, "op1", 8)
+    builder.message(0, 1, 64)
+    builder.end_step()
+    plan = compile_plan(builder.build())
+    assert simulate_programs_batch(plan, [], []) == []
+
+
 # -- RNG tie-break streams ---------------------------------------------------
 
 
