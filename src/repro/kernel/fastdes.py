@@ -19,7 +19,7 @@ numbers at exactly the moments the reference engine calls
 ====================  ==================================================
 reference event        slab entry (when, seq, kind, ...)
 ====================  ==================================================
-``Initialize(proc)``   ``INIT_PROC`` — run the decision loop once
+``Initialize(proc)``   ``INIT_PROC`` — run the processor's first decision
 ``Timeout(recv gap)``  ``RECV_START`` — emit the RECV event, start it
 ``Timeout(recv o)``    ``RECV_END`` — commit clock, count the receive
 ``Timeout(send dur)``  ``SEND_END`` — commit clock, launch delivery
@@ -53,8 +53,15 @@ untraced machine emulator) no :class:`CommEvent` is constructed at all;
 a caller that passes a sink also passes the pattern's ``messages``
 (indexed by uid), which the events carry.  ``latency_of`` receives the
 :class:`~repro.core.message.Message` when ``messages`` is given, and the
-bare record otherwise — :meth:`repro.machine.JitteredNetwork.latency_of`
-ignores its argument, so the untraced emulator hands it records.
+bare record otherwise.
+
+**One decision loop.**  The reference coroutine's body — loop top to the
+next yield — runs inline in the event loop, not in a nested function:
+the five events that resume a processor (``INIT_PROC``, ``RECV_END``,
+``SEND_END``, a live ``WAKEUP`` on a plain wait, ``ANYOF_FIRE``) fall
+through to one decision block, and every other event ends its branch.
+``SEND_END`` builds its ``INIT_DELIVER`` entry (drawing the latency)
+before that decision and pushes it, or makes it pending, after it.
 
 Stale wakeups are real in the reference (a message landing between an
 ``AnyOf`` firing and the processor resuming schedules a wakeup that
@@ -158,83 +165,6 @@ def causal_step(
     heap: list[tuple] = [(0.0, i, _INIT_PROC, i) for i in range(n_procs)]
     seq = n_procs
 
-    def decide(pid: int, now: float) -> None:
-        """One pass of the processor loop: loop-top to the next yield.
-
-        ``pid`` is the processor's rank in ``procs``.  Every branch of
-        the reference coroutine body ends in a yield (or terminates), so
-        one resume runs exactly one decision.
-        """
-        nonlocal seq
-        sq = sends[pid]
-        if not sq and received[pid] >= expected[pid]:
-            seq += 1  # Process completion event: pure no-op pop, skip push
-            return
-        lk = last_kind[pid]
-        le = last_end[pid]
-        if sq:
-            es = le if lk is None else (le + rs_gap if lk is _RECV else le + g)
-            send_start = max(now, es)
-        else:
-            send_start = _INF
-        arr = arrived[pid]
-        if arr:
-            es = le if lk is None else le + g
-            recv_start = max(now, arr[0][0], es)
-        else:
-            recv_start = _INF
-
-        if arr and recv_start <= send_start:
-            arrival, uid = heappop(arr)
-            if recv_start > now:
-                heappush(
-                    heap,
-                    (
-                        now + (recv_start - now),
-                        seq,
-                        _RECV_START,
-                        pid,
-                        recv_start,
-                        arrival,
-                        uid,
-                    ),
-                )
-                seq += 1
-            else:
-                if emit is not None:
-                    emit(CommEvent(
-                        procs[pid], _RECV, recv_start, o, messages[uid], arrival=arrival
-                    ))
-                heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
-                seq += 1
-        elif sq:
-            if send_start > now:
-                gen = wait_gen[pid] = wait_gen[pid] + 1
-                wait_state[pid] = _ANYOF
-                anyof_fired[pid] = False
-                wakeup_live[pid] = True
-                heappush(
-                    heap, (now + (send_start - now), seq, _SENDSLOT, pid, gen)
-                )
-                seq += 1
-            else:
-                rec = sq.popleft()
-                size = rec[2]
-                duration = sdur_get(size)
-                if duration is None:
-                    duration = sdur[size] = o + (size - 1) * G
-                if emit is not None:
-                    emit(CommEvent(procs[pid], _SEND, send_start, duration, messages[rec[3]]))
-                heappush(
-                    heap,
-                    (now + duration, seq, _SEND_END, pid, send_start + duration, rec),
-                )
-                seq += 1
-        else:
-            wait_gen[pid] += 1
-            wait_state[pid] = _PLAIN
-            wakeup_live[pid] = True
-
     # ``pending`` holds a zero-delay entry that pops next (module
     # docstring): it runs as the next event without a heap round trip.
     pending = None
@@ -246,91 +176,172 @@ def causal_step(
             item = heappop(heap)
         else:
             break
-        t = item[0]
+        now = item[0]
         kind = item[2]
-        if kind == _RECV_END:
-            pid = item[3]
-            last_kind[pid] = _RECV
-            last_end[pid] = item[4]
-            received[pid] += 1
-            decide(pid, t)
-        elif kind == _SEND_END:
-            pid = item[3]
-            rec = item[5]
-            last_kind[pid] = _SEND
-            last_end[pid] = item[4]
-            # Wire latency is drawn *before* the delivery process is
-            # scheduled and before the next decision — the emulator's
-            # shared-RNG draw order depends on this.
-            entry = (t, seq, _INIT_DELIVER, rank_of[rec[1]], latency_of(rec), rec[3])
-            seq += 1
-            decide(pid, t)
-            if heap and heap[0] < entry:
-                heappush(heap, entry)
-            else:
-                pending = entry
-        elif kind == _DELIVER:
-            dst = item[3]
-            heappush(arrived[dst], (t, item[4]))
-            if wakeup_live[dst]:
-                wakeup_live[dst] = False
-                entry = (t, seq, _WAKEUP, dst, wait_gen[dst])
-                if heap and heap[0] < entry:
-                    heappush(heap, entry)
-                else:
-                    pending = entry
-                seq += 1
-            seq += 1  # delivery Process completion: no-op pop, skip push
-        elif kind == _INIT_DELIVER:
-            heappush(heap, (t + item[4], seq, _DELIVER, item[3], item[5]))
-            seq += 1
-        elif kind == _RECV_START:
-            pid = item[3]
-            recv_start = item[4]
-            if emit is not None:
-                emit(CommEvent(
-                    procs[pid], _RECV, recv_start, o, messages[item[6]], arrival=item[5]
-                ))
-            heappush(heap, (t + o, seq, _RECV_END, pid, recv_start + o))
-            seq += 1
-        elif kind == _WAKEUP:
-            pid = item[3]
-            if item[4] == wait_gen[pid]:
-                ws = wait_state[pid]
-                if ws == _PLAIN:
-                    wait_state[pid] = _NO_WAIT
-                    decide(pid, t)
-                elif ws == _ANYOF and not anyof_fired[pid]:
-                    anyof_fired[pid] = True
-                    entry = (t, seq, _ANYOF_FIRE, pid)
-                    if heap and heap[0] < entry:
-                        heappush(heap, entry)
-                    else:
-                        pending = entry
-                    seq += 1
-            # else: stale wakeup — the reference pops it into a no-op too
-        elif kind == _SENDSLOT:
-            pid = item[3]
+        pid = item[3]
+        # Events that only schedule end in ``continue``; the five that
+        # resume a processor fall through to the decision block below.
+        if kind == _SENDSLOT:
             if (
                 item[4] == wait_gen[pid]
                 and wait_state[pid] == _ANYOF
                 and not anyof_fired[pid]
             ):
                 anyof_fired[pid] = True
-                entry = (t, seq, _ANYOF_FIRE, pid)
+                entry = (now, seq, _ANYOF_FIRE, pid)
                 if heap and heap[0] < entry:
                     heappush(heap, entry)
                 else:
                     pending = entry
                 seq += 1
             # else: the AnyOf already fired via a wakeup — no-op pop
+            continue
+        elif kind == _RECV_START:
+            recv_start = item[4]
+            if emit is not None:
+                emit(CommEvent(
+                    procs[pid], _RECV, recv_start, o, messages[item[6]], arrival=item[5]
+                ))
+            heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
+            seq += 1
+            continue
+        elif kind == _DELIVER:
+            heappush(arrived[pid], (now, item[4]))
+            if wakeup_live[pid]:
+                wakeup_live[pid] = False
+                entry = (now, seq, _WAKEUP, pid, wait_gen[pid])
+                if heap and heap[0] < entry:
+                    heappush(heap, entry)
+                else:
+                    pending = entry
+                seq += 1
+            seq += 1  # delivery Process completion: no-op pop, skip push
+            continue
+        elif kind == _INIT_DELIVER:
+            heappush(heap, (now + item[4], seq, _DELIVER, pid, item[5]))
+            seq += 1
+            continue
+        elif kind == _RECV_END:
+            last_kind[pid] = _RECV
+            last_end[pid] = item[4]
+            received[pid] += 1
+        elif kind == _SEND_END:
+            rec = item[5]
+            last_kind[pid] = _SEND
+            last_end[pid] = item[4]
+            # Wire latency is drawn *before* the delivery process is
+            # scheduled and before the next decision — the emulator's
+            # shared-RNG draw order depends on this.  The entry is pushed
+            # (or made pending) after the decision, below.
+            deliver = (now, seq, _INIT_DELIVER, rank_of[rec[1]], latency_of(rec), rec[3])
+            seq += 1
+        elif kind == _WAKEUP:
+            if item[4] != wait_gen[pid]:
+                continue  # stale wakeup — the reference pops it into a no-op too
+            ws = wait_state[pid]
+            if ws == _ANYOF:
+                if not anyof_fired[pid]:
+                    anyof_fired[pid] = True
+                    entry = (now, seq, _ANYOF_FIRE, pid)
+                    if heap and heap[0] < entry:
+                        heappush(heap, entry)
+                    else:
+                        pending = entry
+                    seq += 1
+                continue
+            if ws != _PLAIN:
+                continue
+            wait_state[pid] = _NO_WAIT
         elif kind == _ANYOF_FIRE:
-            pid = item[3]
             wait_state[pid] = _NO_WAIT
             wakeup_live[pid] = False  # resume clears st.wakeup
-            decide(pid, t)
-        else:  # _INIT_PROC
-            decide(item[3], t)
+        # else: _INIT_PROC
+
+        # The decision: one pass of the processor loop, from its top to
+        # the next yield.  Every branch of the reference coroutine body
+        # ends in a yield (or terminates), so one resume runs exactly one
+        # decision.
+        sq = sends[pid]
+        if not sq and received[pid] >= expected[pid]:
+            seq += 1  # Process completion event: pure no-op pop, skip push
+        else:
+            lk = last_kind[pid]
+            le = last_end[pid]
+            if sq:
+                es = le if lk is None else (le + rs_gap if lk is _RECV else le + g)
+                send_start = es if es > now else now  # max(now, es)
+            else:
+                send_start = _INF
+            arr = arrived[pid]
+            if arr:
+                es = le if lk is None else le + g
+                # max(now, arr[0][0], es), keeping max's first-wins ties
+                recv_start = arr[0][0]
+                if not recv_start > now:
+                    recv_start = now
+                if es > recv_start:
+                    recv_start = es
+            else:
+                recv_start = _INF
+
+            if arr and recv_start <= send_start:
+                arrival, uid = heappop(arr)
+                if recv_start > now:
+                    heappush(
+                        heap,
+                        (
+                            now + (recv_start - now),
+                            seq,
+                            _RECV_START,
+                            pid,
+                            recv_start,
+                            arrival,
+                            uid,
+                        ),
+                    )
+                else:
+                    if emit is not None:
+                        emit(CommEvent(
+                            procs[pid], _RECV, recv_start, o, messages[uid],
+                            arrival=arrival,
+                        ))
+                    heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
+                seq += 1
+            elif sq:
+                if send_start > now:
+                    gen = wait_gen[pid] = wait_gen[pid] + 1
+                    wait_state[pid] = _ANYOF
+                    anyof_fired[pid] = False
+                    wakeup_live[pid] = True
+                    heappush(
+                        heap, (now + (send_start - now), seq, _SENDSLOT, pid, gen)
+                    )
+                else:
+                    rec = sq.popleft()
+                    size = rec[2]
+                    duration = sdur_get(size)
+                    if duration is None:
+                        duration = sdur[size] = o + (size - 1) * G
+                    if emit is not None:
+                        emit(CommEvent(
+                            procs[pid], _SEND, send_start, duration, messages[rec[3]]
+                        ))
+                    heappush(
+                        heap,
+                        (now + duration, seq, _SEND_END, pid, send_start + duration, rec),
+                    )
+                seq += 1
+            else:
+                wait_gen[pid] += 1
+                wait_state[pid] = _PLAIN
+                wakeup_live[pid] = True
+
+        if kind == _SEND_END:
+            # the reference pops INIT_DELIVER after the sender's decision
+            if heap and heap[0] < deliver:
+                heappush(heap, deliver)
+            else:
+                pending = deliver
 
     # Every reference schedule maps to one consumed seq, so the final
     # counter equals the engine's processed-event total.

@@ -33,8 +33,15 @@ per-operation overhead removed:
   keeps operating while its clock stays *strictly* below every other
   sender's — precisely the iterations in which the reference rescans all
   processors, finds a singleton tie set, and consumes no randomness.
-  Ties (clock equality) always fall back to the outer rescan, so a draw
+  Ties (clock equality) always fall back to the outer pick, so a draw
   happens on exactly the same tie sets as the reference;
+* the standard algorithm's outer pick reads a **ready-sender heap** of
+  ``(clock, proc)`` entries instead of rescanning every processor.  Only
+  the operating processor's clock changes between picks, and it is out
+  of the heap while it operates, so the heap top is the minimum-clock
+  sender.  Entries with equal clocks pop in ``procs`` order — the
+  reference's tie list — so popping every entry tied with the minimum
+  gives the same list to draw from; the others go back unchanged;
 * the worst-case algorithm **drains a forced send's destination at
   once**.  A send is forced only when no processor can send and none
   has a pending receive; the forced send adds exactly one pending
@@ -57,7 +64,7 @@ engine.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -112,37 +119,30 @@ def standard_step(
     for rec in remote:  # one pass; per-source order is the remote order
         send_q[rec[0]].append(rec)
 
-    while True:
-        # One scan finds the senders and their minimum clock together.
-        senders = []
-        min_ct = _INF
-        for p in procs:
-            if send_q[p]:
-                senders.append(p)
-                c = ctime[p]
-                if c < min_ct:
-                    min_ct = c
-        if not senders:
-            break
-        if len(senders) == 1:
-            # Sole sender: singleton tie set in the reference (no RNG
-            # draw) and no other sender to bound the batched segment.
-            proc = senders[0]
-            other_min = _INF
-        else:
-            tied = [p for p in senders if ctime[p] == min_ct]
-            proc = tied[0] if len(tied) == 1 else tied[int(rng.integers(0, len(tied)))]
-
-            # Strict bound for the batched segment: while this processor's
-            # clock stays below every other sender's, the reference would
-            # re-pick it with a singleton tie set (no RNG) — so we may keep
-            # going without rescanning.  Other senders' clocks cannot change
-            # meanwhile (only `proc` operates; sends only grow *receive*
-            # heaps).
-            other_min = _INF
-            for p in senders:
-                if p != proc and ctime[p] < other_min:
-                    other_min = ctime[p]
+    # Ready-sender heap: ``(ctime, proc)`` of every processor with a
+    # non-empty send queue.  Only the operating processor's clock changes
+    # between picks, and it is out of the heap while it operates, so the
+    # heap top is always the reference's minimum-clock sender.
+    ready = [(ctime[p], p) for p in procs if send_q[p]]
+    heapify(ready)
+    while ready:
+        min_ct, proc = heappop(ready)
+        if ready and ready[0][0] == min_ct:
+            # Equal clocks pop in ``procs`` order: the reference's tie list.
+            tied = [proc]
+            while ready and ready[0][0] == min_ct:
+                tied.append(heappop(ready)[1])
+            proc = tied[int(rng.integers(0, len(tied)))]
+            for p in tied:
+                if p != proc:
+                    heappush(ready, (min_ct, p))
+        # Strict bound for the batched segment: while this processor's
+        # clock stays below every other sender's, the reference would
+        # re-pick it with a singleton tie set (no RNG) — so we may keep
+        # going without rescanning.  Other senders' clocks cannot change
+        # meanwhile (only `proc` operates; sends only grow *receive*
+        # heaps).
+        other_min = ready[0][0] if ready else _INF
 
         sq = send_q[proc]
         rh = recv_h[proc]
@@ -182,6 +182,8 @@ def standard_step(
         ctime[proc] = ct
         last_kind[proc] = lk
         busy[proc] = bz
+        if sq:
+            heappush(ready, (ct, proc))
 
     # Drain: every processor performs its remaining receives.
     for p in procs:

@@ -41,27 +41,32 @@ def touched_blocks(work: Work) -> list[tuple[Hashable, int]]:
     through the wavefront; byte sizes are float64 footprints.
     """
     i, j = work.block
-    return _touched(work.op, work.b, i, j, work.iteration)
+    keys = _operand_keys(work.op, i, j, work.iteration)
+    return list(zip(keys, _operand_bytes(work.op, work.b)))
 
 
-def _touched(op: str, b: int, i: int, j: int, k: int) -> list[tuple[Hashable, int]]:
-    """:func:`touched_blocks` of the work record ``(op, b, i, j, k)``."""
-    block_bytes = b * b * 8
+def _operand_keys(op: str, i: int, j: int, k: int) -> tuple:
+    """Cache keys of the operand blocks of the work record ``(op, b, i, j, k)``."""
     if op == "op1":
-        return [(("blk", i, j), block_bytes)]
-    tri_bytes = b * (b + 1) // 2 * 8
+        return (("blk", i, j),)
     if op == "op2":
-        return [(("blk", i, j), block_bytes), (("factL", k), tri_bytes)]
+        return (("blk", i, j), ("factL", k))
     if op == "op3":
-        return [(("blk", i, j), block_bytes), (("factU", k), tri_bytes)]
+        return (("blk", i, j), ("factU", k))
     if op == "op4":
-        return [
-            (("blk", i, j), block_bytes),
-            (("col", i, k), block_bytes),
-            (("row", k, j), block_bytes),
-        ]
+        return (("blk", i, j), ("col", i, k), ("row", k, j))
     # non-GE op: charge its own block only
-    return [(("blk", i, j), block_bytes)]
+    return (("blk", i, j),)
+
+
+def _operand_bytes(op: str, b: int) -> tuple[int, ...]:
+    """Byte sizes of the operands :func:`_operand_keys` names, in order."""
+    block_bytes = b * b * 8
+    if op == "op2" or op == "op3":
+        return (block_bytes, b * (b + 1) // 2 * 8)
+    if op == "op4":
+        return (block_bytes, block_bytes, block_bytes)
+    return (block_bytes,)
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,31 @@ class NodeCPU:
         self.scan_us_per_block = scan_us_per_block
         self.noise_sigma = noise_sigma
         self.rng = rng if rng is not None else np.random.default_rng(0)
+        #: ``(op, b) -> (operand bytes, miss charges or None)``; see
+        #: :meth:`_price_operands`
+        self._miss_charges: dict[tuple[str, int], tuple] = {}
+
+    def _price_operands(self, op: str, b: int) -> tuple:
+        """Operand sizes and per-operand miss charges of one ``(op, b)``.
+
+        Footprint, cacheability and each operand's charge depend only on
+        ``(op, b)``, so each is computed once per node.  The charges are
+        ``None`` when the operation is not cacheable: its misses cost
+        nothing extra.
+        """
+        sizes = _operand_bytes(op, b)
+        footprint = sum(sizes)
+        cacheable = max(0.0, 1.0 - footprint / self.cache.capacity_bytes)
+        miss = (
+            tuple(
+                (nbytes / self.line_bytes) * self.miss_penalty_us * cacheable
+                for nbytes in sizes
+            )
+            if cacheable > 0.0
+            else None
+        )
+        priced = self._miss_charges[(op, b)] = (sizes, miss)
+        return priced
 
     def run_phase(self, ops: Sequence[Work]) -> CompPhaseResult:
         """Execute one computation phase of :class:`Work` records.
@@ -161,17 +191,23 @@ class NodeCPU:
         cache = self.cache
         warm = 0.0
         cache_extra = 0.0
-        for slot, record, factor in zip(slots, records, noise):
-            warm += table[slot] * factor
-            if cache is not None:
-                touched = _touched(*record)
-                footprint = sum(nbytes for _, nbytes in touched)
-                cacheable = max(0.0, 1.0 - footprint / cache.capacity_bytes)
-                for key, nbytes in touched:
-                    if not cache.touch(key, nbytes) and cacheable > 0.0:
-                        cache_extra += (
-                            (nbytes / self.line_bytes) * self.miss_penalty_us * cacheable
-                        )
+        if cache is None:
+            for slot, factor in zip(slots, noise):
+                warm += table[slot] * factor
+        else:
+            touch = cache.touch
+            charges = self._miss_charges
+            for slot, (op, b, i, j, k), factor in zip(slots, records, noise):
+                warm += table[slot] * factor
+                sizes, miss = charges.get((op, b)) or self._price_operands(op, b)
+                keys = _operand_keys(op, i, j, k)
+                if miss is None:
+                    for key, nbytes in zip(keys, sizes):
+                        touch(key, nbytes)
+                else:
+                    for key, nbytes, extra in zip(keys, sizes, miss):
+                        if not touch(key, nbytes):
+                            cache_extra += extra
         scan = self.scan_us_per_block * self.assigned_blocks if n_ops else 0.0
         return CompPhaseResult(
             total_us=warm + cache_extra + scan,

@@ -179,7 +179,8 @@ class MachineEmulator:
         this module's ``simulate_causal`` (the oracle's injection point)
         and hands it the step's pattern, built from the plan's records on
         first use; an untraced run replays each step's records for their
-        clocks alone.
+        clocks alone, with the step's wire latencies drawn in one
+        :meth:`~repro.machine.network.JitteredNetwork.latencies` call.
         """
         # imported on first run, so loading the CLI imports nothing new
         from ..kernel.vector import ProgramPlan, compile_plan
@@ -247,10 +248,14 @@ class MachineEmulator:
                         latency_of=latency_of,
                     ).ctimes
                 else:
-                    # only the clocks are read: replay the records
-                    # without events
+                    # Only the clocks are read: replay the records without
+                    # events.  Each record is sent once, so the step asks
+                    # for exactly len(remote) latencies, and the k-th send
+                    # takes the k-th draw either way.
+                    draw = iter(network.latencies(len(pstep.remote))).__next__
                     ctimes, _ = causal_step(
-                        self.params, pstep.remote, starts, latency_of
+                        self.params, pstep.remote, starts,
+                        lambda _rec, _draw=draw: _draw(),
                     )
                 for p in participants:
                     clocks[p] = ctimes.get(p, clocks[p])

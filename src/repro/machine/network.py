@@ -67,10 +67,9 @@ class JitteredNetwork:
     def latency_of(self, message) -> float:
         """Sampled wire latency (µs) for one message (mean ``params.L``).
 
-        The draw ignores ``message``: the emulator hands a traced step's
-        :class:`Message` and an untraced step's ``(src, dst, size, uid)``
-        record (:func:`repro.kernel.fastdes.causal_step`), so a subclass
-        whose latency depends on the message must accept both shapes.
+        The draw ignores ``message``.  :meth:`latencies` draws the next
+        ``k`` of these at once, and the untraced emulator uses it, so a
+        subclass whose latency depends on the message must override both.
         """
         return apply_jitter(
             self.params.L * self._norm,
@@ -79,6 +78,33 @@ class JitteredNetwork:
             self.straggler_prob,
             self.straggler_factor,
         )
+
+    def latencies(self, k: int) -> list[float]:
+        """What ``k`` successive :meth:`latency_of` calls return, bit for bit.
+
+        The generator is advanced exactly as those calls would advance it:
+        one scalar normal and then one uniform per message, interleaved,
+        and no draw for a zero ``jitter_sigma`` or ``straggler_prob``.
+        Only the ``np.exp`` and the multiplies run as vectors; a vector
+        ``np.exp`` equals the scalar one element for element (``math.exp``
+        does not).
+        """
+        rng = self._rng
+        sigma = self.jitter_sigma
+        prob = self.straggler_prob
+        z = []
+        u = []
+        for _ in range(k):
+            if sigma:
+                z.append(rng.normal(0.0, sigma))
+            if prob:
+                u.append(rng.random())
+        lat = np.full(k, self.params.L * self._norm)
+        if sigma:
+            lat = lat * np.exp(z)
+        if prob:
+            lat = np.where(np.array(u) < prob, lat * self.straggler_factor, lat)
+        return lat.tolist()
 
     def local_copy_us(self, message: Message) -> float:
         """Cost of a same-processor transfer (µs)."""

@@ -154,6 +154,29 @@ class TestNetworkUsesSharedSampler:
         for _ in range(500):
             assert net.latency_of(msg) == self._reference_latency(ref_net, ref_rng)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("k", [0, 1, 500])
+    def test_latencies_equal_successive_latency_of(self, sigma, prob, k):
+        """The per-step batch is ``k`` scalar draws, state included."""
+        knobs = dict(params=MEIKO_CS2, jitter_sigma=sigma, straggler_prob=prob, seed=42)
+        batch = JitteredNetwork(**knobs)
+        scalar = JitteredNetwork(**knobs)
+        got = batch.latencies(k)
+        assert type(got) is list and all(type(x) is float for x in got)
+        assert got == [scalar.latency_of(None) for _ in range(k)]
+        assert batch._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    def test_latencies_and_latency_of_continue_one_stream(self):
+        batch = JitteredNetwork(params=MEIKO_CS2, seed=7)
+        scalar = JitteredNetwork(params=MEIKO_CS2, seed=7)
+        got = []
+        for k in (3, 0, 1, 40, 2):
+            got += batch.latencies(k)
+            got.append(batch.latency_of(None))
+        assert got == [scalar.latency_of(None) for _ in range(len(got))]
+        assert batch._rng.bit_generator.state == scalar._rng.bit_generator.state
+
     def test_normalizer_matches_inline_formula(self):
         net = JitteredNetwork(
             params=MEIKO_CS2, jitter_sigma=0.2, straggler_prob=0.05,
