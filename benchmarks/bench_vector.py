@@ -10,7 +10,12 @@ the sweep engine actually dispatches:
   ``summarize_ge_point``-shaped loop, both cold.
 * ``lanes`` — a replicate batch (one GE configuration, many seeds, the
   UQ engine's shape): ``simulate_programs_batch`` vs per-lane scalar
-  ``ProgramSimulator`` runs.
+  runs.
+
+The scalar side is the whole-program loop over trace objects
+(``tests/oracle.py::simulate_program_reference``) on the kernel's step
+simulators: ``ProgramSimulator.run`` itself runs the batch replay, so
+timing it would compare the batch path with itself.
 
 Gates:
 
@@ -35,6 +40,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _shared import (  # noqa: E402
     BLOCK_SIZES,
@@ -55,6 +61,7 @@ from repro.kernel.vector import (  # noqa: E402
 )
 from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid  # noqa: E402
+from tests.oracle import simulate_program_reference  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_vector.json"
 TARGET_SPEEDUP = 1.1
@@ -62,15 +69,17 @@ LANE_SEEDS = tuple(range(8))
 LANE_B = 60
 
 
+def _scalar(trace, mode, seed):
+    """One whole-program run of the object loop on the kernel's steps."""
+    sim = ProgramSimulator(PARAMS, COST_MODEL, mode=mode, seed=seed)
+    return simulate_program_reference(sim, trace)
+
+
 def _grid_workload():
-    # The scalar baseline runs ProgramSimulator explicitly (ge_trace +
-    # RunningTimePredictor): summarize_ge_point itself routes through the
+    # The scalar baseline walks each point's trace with the object loop:
+    # summarize_ge_point and ProgramSimulator.run both route through the
     # batch kernel, which would compare batch against batch.
-    from repro.core.predictor import (
-        GERow,
-        RunningTimePredictor,
-        _flatten_ge_row,
-    )
+    from repro.core.predictor import GERow, _flatten_ge_row
     from repro.kernel.tracecache import ge_trace
 
     grid = expand_grid(MATRIX_N, BLOCK_SIZES, LAYOUTS, with_measured=False)
@@ -80,9 +89,7 @@ def _grid_workload():
     scalar = []
     for p in grid:
         trace = ge_trace(p.n, p.b, p.layout, PARAMS.P)
-        pred_std, pred_wc = RunningTimePredictor(
-            PARAMS, COST_MODEL, seed=p.seed
-        ).predict_both(trace)
+        pred_std, pred_wc = (_scalar(trace, mode, p.seed) for mode in GE_MODES)
         scalar.append(
             _flatten_ge_row(
                 GERow(n=p.n, b=p.b, layout=p.layout,
@@ -117,12 +124,7 @@ def _lane_workload():
     clear_all_caches()
     t0 = time.perf_counter()
     scalar = [
-        {
-            mode: ProgramSimulator(
-                PARAMS, COST_MODEL, mode=mode, seed=seed
-            ).run(trace)
-            for mode in GE_MODES
-        }
+        {mode: _scalar(trace, mode, seed) for mode in GE_MODES}
         for seed in LANE_SEEDS
     ]
     scalar_s = time.perf_counter() - t0

@@ -60,9 +60,9 @@ from .predictor import (
     run_ge_sweep,
     summarize_ge_point,
 )
-from .program_sim import PredictionReport, ProgramSimulator, StepRecord
-from .standard_sim import SimulationResult, StandardSimulator, simulate_standard
-from .worstcase_sim import WorstCaseSimulator, simulate_worstcase
+from .program_sim import PredictionReport, ProgramSimulator
+from .standard_sim import SimulationResult, simulate_standard
+from .worstcase_sim import simulate_worstcase
 
 __all__ = [
     "LogGPParameters",
@@ -76,9 +76,7 @@ __all__ = [
     "StepTimeline",
     "SimulationResult",
     "simulate_standard",
-    "StandardSimulator",
     "simulate_worstcase",
-    "WorstCaseSimulator",
     "simulate_causal",
     "CostModel",
     "TableCostModel",
@@ -88,7 +86,6 @@ __all__ = [
     "CachePredictionModel",
     "ProgramSimulator",
     "PredictionReport",
-    "StepRecord",
     "RunningTimePredictor",
     "GERow",
     "run_ge_point",

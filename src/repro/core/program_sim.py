@@ -20,6 +20,12 @@ The report splits the total into computation and communication the same
 way instrumented real executions do: per processor, computation time is
 the sum of its compute phases and communication time is everything else
 (engaged sends/receives plus waiting).
+
+The loop runs in :mod:`repro.kernel.vector`: ``run`` compiles the trace
+into a plan, folds its computation phases and replays the steps, the
+path every sweep point takes.  Its readable transcription over the
+trace's objects, which the kernel must match bit for bit, is
+``tests/oracle.py::simulate_program_reference``.
 """
 
 from __future__ import annotations
@@ -29,17 +35,15 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from ..kernel.memo import memoize
-from ..obs.events import get_tracer
-from ..trace.program import ProgramTrace, Step
+from ..trace.program import ProgramTrace
 from .cache_extension import CachePredictionModel
 from .costmodel import CostModel
 from .des_check import simulate_causal
-from .loggp import LogGPParameters, OpKind
+from .loggp import LogGPParameters
 from .standard_sim import simulate_standard
 from .worstcase_sim import simulate_worstcase
 
-__all__ = ["StepRecord", "PredictionReport", "ProgramSimulator", "SimMode"]
+__all__ = ["PredictionReport", "ProgramSimulator", "SimMode"]
 
 SimMode = Literal["standard", "worstcase", "causal"]
 
@@ -48,17 +52,6 @@ _SIMULATORS = {
     "worstcase": simulate_worstcase,
     "causal": simulate_causal,
 }
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Aggregates of one step (timelines are not retained, for memory)."""
-
-    label: str
-    comp_us: dict[int, float]
-    comm_completion_us: float
-    comm_busy_us: dict[int, float]
-    messages: int
 
 
 @dataclass
@@ -73,7 +66,6 @@ class PredictionReport:
     per_proc_total_us: dict[int, float]
     #: per-processor time engaged in send/receive operations (µs)
     per_proc_comm_busy_us: dict[int, float]
-    steps: list[StepRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -125,8 +117,6 @@ class ProgramSimulator:
         Extension: per-block-scan overhead per step (the effect the paper
         identifies as its computation-time under-prediction).  The paper's
         simple prediction uses 0.
-    keep_steps:
-        Retain per-step aggregate records in the report.
     """
 
     def __init__(
@@ -138,7 +128,6 @@ class ProgramSimulator:
         overlap: bool = False,
         cache_model: Optional[CachePredictionModel] = None,
         iter_overhead_us: float = 0.0,
-        keep_steps: bool = False,
         rng: Optional[np.random.Generator] = None,
     ):
         if mode not in _SIMULATORS:
@@ -152,43 +141,18 @@ class ProgramSimulator:
         self.overlap = overlap
         self.cache_model = cache_model
         self.iter_overhead_us = iter_overhead_us
-        self.keep_steps = keep_steps
         #: optional pre-seeded tie-break generator; replaces the
         #: ``default_rng(seed)`` a run would build, so a caller can
         #: inspect the consumed stream afterwards (the RNG-equivalence
         #: property tests do).  Stateful across runs when injected.
         self.rng = rng
 
-    # -- internals --------------------------------------------------------------
-    @staticmethod
-    def _resident_bytes(trace: ProgramTrace) -> dict[int, int]:
-        """Distinct-block footprint per processor, from the trace's work."""
-        return {
-            proc: sum(b * b * 8 for b in sizes.values())
-            for proc, sizes in trace.blocks_by_proc().items()
-        }
-
-    def _comp_time(
-        self, step: Step, proc: int, resident: dict[int, int], cost_model=None
-    ) -> float:
-        if cost_model is None:
-            cost_model = self.cost_model
-        total = 0.0
-        ops = step.work.get(proc, ())
-        for w in ops:
-            cost = cost_model.cost(w.op, w.b)
-            if self.cache_model is not None:
-                cost += self.cache_model.extra_cost(
-                    w.op, w.b, resident.get(proc, 0)
-                )
-            total += cost
-        if ops and self.iter_overhead_us:
-            total += self.iter_overhead_us * len(ops)
-        return total
-
-    # -- main entry point ----------------------------------------------------------
     def run(self, trace: ProgramTrace) -> PredictionReport:
         """Simulate the program; see class docstring for the semantics.
+
+        The trace is compiled into a :class:`~repro.kernel.vector.ProgramPlan`
+        and run by the batch kernel's fold and replay as one lane, so a
+        prediction and a sweep point share one loop over program steps.
 
         When the ambient observability tracer is enabled, the run emits
         structured events on the ``sim:<mode>`` track: a ``compute`` slice
@@ -196,92 +160,19 @@ class ProgramSimulator:
         phases' ``comm``/``send``/``recv`` slices emitted by the
         underlying step simulators (see :mod:`repro.obs`).
         """
-        tracer = get_tracer()
-        with tracer.in_track(f"sim:{self.mode}"):
-            return self._run_traced(trace, tracer)
+        from ..kernel.vector import _fold_computation, _replay, compile_plan
 
-    def _run_traced(self, trace: ProgramTrace, tracer) -> PredictionReport:
-        simulate = _SIMULATORS[self.mode]
-        cost_model = memoize(self.cost_model)
-        rng = self.rng if self.rng is not None else np.random.default_rng(self.seed)
-        clocks = {p: 0.0 for p in range(trace.num_procs)}
-        comp = {p: 0.0 for p in range(trace.num_procs)}
-        comm_busy = {p: 0.0 for p in range(trace.num_procs)}
-        resident = self._resident_bytes(trace) if self.cache_model else {}
-        records: list[StepRecord] = []
-        traced = tracer.enabled and tracer.wants("compute")
-
-        for step_idx, step in enumerate(trace.steps):
-            step_comp: dict[int, float] = {}
-            for proc in step.work:
-                t = self._comp_time(step, proc, resident, cost_model)
-                if t:
-                    if traced:
-                        tracer.slice(
-                            "compute", proc=proc, ts=clocks[proc], dur=t,
-                            step=step_idx, ops=len(step.work.get(proc, ())),
-                        )
-                    clocks[proc] += t
-                    comp[proc] += t
-                    step_comp[proc] = t
-
-            comm_completion = 0.0
-            n_msgs = 0
-            if step.pattern is not None and step.pattern.remote_messages():
-                participants = {
-                    p
-                    for m in step.pattern.remote_messages()
-                    for p in (m.src, m.dst)
-                }
-                starts = {p: clocks[p] for p in participants}
-                result = simulate(self.params, step.pattern, start_times=starts, rng=rng)
-                timeline = result.timeline
-                comm_completion = timeline.completion_time
-                n_msgs = len(step.pattern.remote_messages())
-
-                if self.overlap:
-                    # Overlap extension: the CPU pays engaged time only;
-                    # data dependencies pin it to its last receive end.
-                    for p in participants:
-                        busy = timeline.busy_time(p)
-                        comm_busy[p] += busy
-                        last_recv = max(
-                            (
-                                e.end
-                                for e in timeline.events
-                                if e.proc == p and e.kind is OpKind.RECV
-                            ),
-                            default=0.0,
-                        )
-                        clocks[p] = max(starts[p] + busy, last_recv)
-                else:
-                    # One scan for all processors (bit-equal to per-proc
-                    # busy_time(): same per-proc summation order).
-                    busy = timeline.busy_times()
-                    for p in participants:
-                        comm_busy[p] += busy.get(p, 0.0)
-                        clocks[p] = result.ctimes.get(p, clocks[p])
-
-            if self.keep_steps:
-                records.append(
-                    StepRecord(
-                        label=step.label,
-                        comp_us=step_comp,
-                        comm_completion_us=comm_completion,
-                        comm_busy_us={},
-                        messages=n_msgs,
-                    )
-                )
-
-        total = max(clocks.values(), default=0.0)
-        if tracer.enabled:
-            tracer.count("sim.program_steps", len(trace.steps))
-            tracer.count("sim.program_runs")
-        return PredictionReport(
-            total_us=total,
-            per_proc_comp_us=comp,
-            per_proc_total_us=dict(clocks),
-            per_proc_comm_busy_us=comm_busy,
-            steps=records,
-            meta=dict(trace.meta),
+        plan = compile_plan(trace)
+        resident = None
+        if self.cache_model is not None:
+            resident = {
+                proc: sum(b * b * 8 for b in sizes.values())
+                for proc, sizes in trace.blocks_by_proc().items()
+            }
+        folds = _fold_computation(
+            plan, [(self.params, self.cost_model)],
+            cache_model=self.cache_model, resident=resident,
+            iter_overhead_us=self.iter_overhead_us,
         )
+        rng = self.rng if self.rng is not None else np.random.default_rng(self.seed)
+        return _replay(plan, folds, 0, self.mode, self.params, rng, overlap=self.overlap)

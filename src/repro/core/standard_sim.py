@@ -39,7 +39,7 @@ from .events import CommEvent, StepTimeline
 from .loggp import LogGPParameters
 from .message import CommPattern, Message
 
-__all__ = ["SimulationResult", "simulate_standard", "StandardSimulator", "step_result"]
+__all__ = ["SimulationResult", "simulate_standard", "step_result"]
 
 
 @dataclass
@@ -62,26 +62,6 @@ class SimulationResult:
         starts = start_times if start_times is not None else self.timeline.start_times
         base = min(starts.values(), default=0.0) if starts else 0.0
         return self.completion_time - base
-
-
-class StandardSimulator:
-    """Reusable simulator object (exposes the same algorithm as a class).
-
-    Useful when many steps are simulated with the same parameters; the
-    :class:`repro.core.program_sim.ProgramSimulator` drives one of these.
-    """
-
-    def __init__(self, params: LogGPParameters, rng: Optional[np.random.Generator] = None):
-        self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def run(
-        self,
-        pattern: CommPattern,
-        start_times: Optional[Mapping[int, float]] = None,
-    ) -> SimulationResult:
-        """Simulate one communication step; see module docstring."""
-        return _simulate(self.params, pattern, start_times, self.rng)
 
 
 def simulate_standard(

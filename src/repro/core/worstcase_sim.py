@@ -33,23 +33,7 @@ from .message import CommPattern
 from .events import CommEvent
 from .standard_sim import SimulationResult, step_result
 
-__all__ = ["simulate_worstcase", "WorstCaseSimulator"]
-
-
-class WorstCaseSimulator:
-    """Class-based interface mirroring :class:`StandardSimulator`."""
-
-    def __init__(self, params: LogGPParameters, rng: Optional[np.random.Generator] = None):
-        self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def run(
-        self,
-        pattern: CommPattern,
-        start_times: Optional[Mapping[int, float]] = None,
-    ) -> SimulationResult:
-        """Simulate one communication step with the worst-case schedule."""
-        return _simulate(self.params, pattern, start_times, self.rng)
+__all__ = ["simulate_worstcase"]
 
 
 def simulate_worstcase(

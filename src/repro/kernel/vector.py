@@ -12,8 +12,7 @@ structure, so the batch evaluator works in two parts:
   into flat per-step records, instead of re-traversed per lane per
   engine);
 * a **lane replay** that walks one (lane, mode) through the plan's
-  steps the way :meth:`repro.core.program_sim.ProgramSimulator.run`
-  does: it adds the folded computation phases to the clocks and prices
+  steps: it adds the folded computation phases to the clocks and prices
   each communication step from the plan's remote-message records and
   participant list.
 
@@ -22,21 +21,29 @@ recurrence, so an untraced sweep point builds no trace, ``Work``,
 ``Message`` or ``CommPattern``; :func:`compile_plan` builds the same
 format from any :class:`~repro.trace.program.ProgramTrace`.
 
-This is the one GE evaluation path, traced or not.  Untraced, a replay
-runs the sink-free ``standard_step``/``worstcase_step``.  Traced, it
-emits what ``ProgramSimulator.run`` emits, on the same ``sim:<mode>``
-track: a ``compute`` slice per nonzero computation phase, each
-communication step through ``program_sim._SIMULATORS[mode]`` (looked up
-per replay, so an injected table — the differential oracle, a profiler —
-is reached), and the ``sim.program_steps``/``sim.program_runs``
-counters.  Lanes replay one after another (standard, then worst-case,
-then the point's emulator in :func:`evaluate_ge_points_batch`), so a
-traced batch emits the same point-major stream as the points one by one.
+The replay is the one loop over program steps: every GE point, traced
+or not, and every :meth:`repro.core.program_sim.ProgramSimulator.run`
+(a width-1 lane over ``compile_plan(trace)``) go through it.  The
+simulator's extensions ride along without a per-op branch: the fold
+prices ``cache_model`` into per-processor cost tables and adds
+``iter_overhead_us`` once per phase, and the replay applies ``overlap``
+once per communication step.  Untraced and without ``overlap``, a
+replay runs the sink-free ``standard_step``/``worstcase_step``.  Traced,
+it emits on the ``sim:<mode>`` track a ``compute`` slice per nonzero
+computation phase, each communication step through
+``program_sim._SIMULATORS[mode]`` (looked up per replay, so an injected
+table — the differential oracle, a profiler — is reached), and the
+``sim.program_steps``/``sim.program_runs`` counters.  Lanes replay one
+after another (standard, then worst-case, then the point's emulator in
+:func:`evaluate_ge_points_batch`), so a traced batch emits the same
+point-major stream as the points one by one.
 
 Bit-identity discipline (enforced by ``tests/test_vector_property.py``,
-``tests/test_traced_batch_parity.py`` and the differential oracle):
+``tests/test_traced_batch_parity.py``, ``tests/test_program_extensions.py``
+and the differential oracle, all against the object loop
+``tests/oracle.py::simulate_program_reference``):
 
-* The scalar reference folds computation costs left to right
+* The object loop folds computation costs left to right
   (``total += cost``).  The vectorized fold uses
   ``np.add.accumulate``, which is the identical sequential left-fold
   per lane — *never* ``np.sum``, whose pairwise reduction regroups the
@@ -57,7 +64,7 @@ import numpy as np
 
 from ..apps.gauss import GEConfig, ge_meta, ge_steps
 from ..core import program_sim
-from ..core.loggp import LogGPParameters
+from ..core.loggp import LogGPParameters, OpKind
 from ..core.message import CommPattern
 from ..core.program_sim import PredictionReport
 from ..layouts import LAYOUTS
@@ -76,7 +83,7 @@ __all__ = [
 
 #: the sink-free steps an untraced replay runs (same clocks/busy/RNG as
 #: ``program_sim._SIMULATORS``, no CommEvent stream); other modes, and
-#: every traced replay, go through ``program_sim._SIMULATORS``
+#: every traced or overlap replay, go through ``program_sim._SIMULATORS``
 _LEAN_SIMULATORS = {
     "standard": standard_step,
     "worstcase": worstcase_step,
@@ -108,10 +115,11 @@ class _PlanStep:
     def pattern(self):
         """The step's :class:`CommPattern`, built from its records on first use.
 
-        Only traced runs read it (the public step simulators take a
-        pattern).  ``CommPattern(P, edges)`` numbers messages by
-        insertion, so every uid and per-sender ``seq`` equals the
-        original's.  The plan keeps it for the rest of its life.
+        Only traced and overlap replays read it (the public step
+        simulators take a pattern).  ``CommPattern(P, edges)`` numbers
+        messages by insertion, so every uid and per-sender ``seq``
+        equals the original's.  The plan keeps it for the rest of its
+        life.
         """
         if self._pattern is None:
             edges = [None] * (len(self.remote) + len(self.local))
@@ -225,36 +233,82 @@ def _lane_cost_table(cost_model, op_table) -> list[float]:
     return [priced.cost(op, b) for op, b in op_table]
 
 
-def _fold_computation(plan: ProgramPlan, machines) -> list[list[tuple]]:
+def _proc_cost_tables(plan, machines, cache_model, resident) -> list[list[list[float]]]:
+    """Per processor, every lane's cost per op-table slot.
+
+    Without the cache extension every processor shares one list of lane
+    tables.  With it, each entry a processor reads is ``cost +
+    extra_cost`` at its resident footprint: the same two-term float a
+    per-op loop adds.  Only the ops a processor runs are charged, so
+    ``extra_cost`` never prices an op it would not have seen.
+    """
+    lanes = [_lane_cost_table(cm, plan.op_table) for _, cm in machines]
+    if cache_model is None:
+        return [lanes] * plan.num_procs
+    used: list[set] = [set() for _ in range(plan.num_procs)]
+    for pstep in plan.steps:
+        for proc, slots, _ in pstep.work:
+            used[proc].update(slots)
+    tables = []
+    for proc, slots in enumerate(used):
+        extra = {
+            j: cache_model.extra_cost(*plan.op_table[j], resident.get(proc, 0))
+            for j in slots
+        }
+        tables.append([
+            [cost + extra[j] if j in extra else cost for j, cost in enumerate(table)]
+            for table in lanes
+        ])
+    return tables
+
+
+def _fold_computation(
+    plan: ProgramPlan,
+    machines,
+    cache_model=None,
+    resident: Optional[dict[int, int]] = None,
+    iter_overhead_us: float = 0.0,
+) -> list[list[tuple]]:
     """Every lane's computation phases, folded step-major over all lanes.
 
     Returns, per plan step, one ``(proc, ops, times)`` per processor with
     work, where ``times[i]`` is lane ``i``'s phase time as a Python float.
     The phases are engine-independent (same trace, same cost model, same
     fold), so every mode of a lane replays the same list.
+
+    The prediction extensions of
+    :class:`~repro.core.program_sim.ProgramSimulator` are priced here:
+    ``cache_model`` (with ``resident``, each processor's footprint in
+    bytes) in the cost tables, and ``iter_overhead_us`` once per phase
+    after its fold.  Neither adds a branch per operation.
     """
-    cost_lists = [_lane_cost_table(cm, plan.op_table) for _, cm in machines]
+    per_proc = _proc_cost_tables(plan, machines, cache_model, resident)
     folds: list[list[tuple]] = []
     if len(machines) == 1:
         # width-1 specialisation: the same left-fold in plain Python
         # floats (bit-equal adds, no array overhead)
-        table = cost_lists[0]
+        tables = [lanes[0] for lanes in per_proc]
         for pstep in plan.steps:
             row = []
             for proc, slots, _ in pstep.work:
+                table = tables[proc]
                 t = 0.0
                 for j in slots:
                     t += table[j]
+                if iter_overhead_us:
+                    t += iter_overhead_us * len(slots)
                 row.append((proc, len(slots), (t,)))
             folds.append(row)
         return folds
-    C = np.array(cost_lists, dtype=np.float64).T  # (op, lane)
+    arrays = [np.array(lanes, dtype=np.float64).T for lanes in per_proc]  # (op, lane)
     for pstep in plan.steps:
         row = []
         for proc, slots, _ in pstep.work:
-            seq = C[slots]  # (k, lanes)
+            seq = arrays[proc][slots]  # (k, lanes)
             # sequential left-fold per lane — NOT np.sum (pairwise)
             t = seq[0] if len(slots) == 1 else np.add.accumulate(seq, axis=0)[-1]
+            if iter_overhead_us:
+                t = t + iter_overhead_us * len(slots)
             row.append((proc, len(slots), t.tolist()))
         folds.append(row)
     return folds
@@ -267,15 +321,22 @@ def _replay(
     mode: str,
     params: LogGPParameters,
     rng: np.random.Generator,
+    overlap: bool = False,
 ) -> PredictionReport:
     """Walk one (lane, mode) through the plan's steps.
 
-    :meth:`~repro.core.program_sim.ProgramSimulator.run`'s loop over
-    precomputed computation phases: the same clock arithmetic, and —
-    when the ambient tracer is enabled — the same events and counters.
+    The one loop over program steps: each processor's folded computation
+    phase is added to its clock, then each communication step runs with
+    the participants' clocks as start times and hands back their new
+    clocks.  Untraced and without ``overlap``, a step runs the sink-free
+    ``standard_step``/``worstcase_step``.  Otherwise it runs through
+    ``program_sim._SIMULATORS[mode]``, whose timeline the tracer records
+    and the overlap extension reads.  When the ambient tracer is enabled
+    the replay emits the ``compute`` slices and ``sim.program_*``
+    counters.
     """
     tracer = get_tracer()
-    step_fn = None if tracer.enabled else _LEAN_SIMULATORS.get(mode)
+    step_fn = None if tracer.enabled or overlap else _LEAN_SIMULATORS.get(mode)
     simulate = program_sim._SIMULATORS[mode]
     traced = tracer.enabled and tracer.wants("compute")
     P = plan.num_procs
@@ -301,7 +362,24 @@ def _replay(
                 ctimes, busy = step_fn(params, pstep.remote, starts, rng)
             else:
                 result = simulate(params, pstep.pattern, start_times=starts, rng=rng)
-                ctimes, busy = result.ctimes, result.timeline.busy_times()
+                timeline = result.timeline
+                if overlap:
+                    # Overlap extension: the CPU pays engaged time only;
+                    # data dependencies pin it to its last receive end.
+                    for p in pstep.participants:
+                        busy = timeline.busy_time(p)
+                        comm_busy[p] += busy
+                        last_recv = max(
+                            (
+                                e.end
+                                for e in timeline.events
+                                if e.proc == p and e.kind is OpKind.RECV
+                            ),
+                            default=0.0,
+                        )
+                        clocks[p] = max(starts[p] + busy, last_recv)
+                    continue
+                ctimes, busy = result.ctimes, timeline.busy_times()
             for p in pstep.participants:
                 comm_busy[p] += busy.get(p, 0.0)
                 clocks[p] = ctimes.get(p, clocks[p])
@@ -313,7 +391,6 @@ def _replay(
         per_proc_comp_us=dict(enumerate(comp)),
         per_proc_total_us=dict(enumerate(clocks)),
         per_proc_comm_busy_us=dict(enumerate(comm_busy)),
-        steps=[],
         meta=dict(plan.meta),
     )
 

@@ -118,7 +118,7 @@ def load_trace(path: Union[str, Path]) -> ProgramTrace:
 # -- prediction reports --------------------------------------------------------
 
 def report_to_dict(report: PredictionReport) -> dict:
-    """Serialisable summary of a prediction (steps omitted by design)."""
+    """Serialisable summary of a prediction."""
     return {
         "kind": "prediction_report",
         "version": FORMAT_VERSION,

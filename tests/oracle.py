@@ -13,13 +13,19 @@ package ran before the kernel became its only engine:
   drawing its timing noise one scalar draw per operation;
 * :func:`build_ge_trace_reference` — the GE wavefront trace, built block
   by block as :class:`~repro.trace.program.Work` and
-  :class:`~repro.core.message.CommPattern` objects.
+  :class:`~repro.core.message.CommPattern` objects;
+* :func:`simulate_program_reference` — the whole-program prediction loop
+  over :class:`~repro.trace.program.ProgramTrace` objects, with the
+  overlap, cache and iteration-overhead extensions.
 
 Runtime does not need them: :mod:`repro.kernel` computes the same values
 bit for bit with less interpreter overhead.  The kernel's tests compare
 against these functions, so they are the specification the kernel must
-keep matching.  Each takes the public signature of its runtime twin
-(``simulate_standard`` / ``simulate_worstcase`` / ``simulate_causal``).
+keep matching.  Each step simulator takes the public signature of its
+runtime twin (``simulate_standard`` / ``simulate_worstcase`` /
+``simulate_causal``); :func:`simulate_program_reference` takes a
+configured :class:`~repro.core.program_sim.ProgramSimulator` and the
+trace its ``run`` would take.
 
 :func:`reference_engine` injects them at the lookup points the whole
 prediction pipeline goes through, for tests that compare end-to-end
@@ -40,8 +46,10 @@ from repro.core import program_sim
 from repro.core.events import CommEvent, StepTimeline
 from repro.core.loggp import LogGPParameters, OpKind
 from repro.core.message import CommPattern, Message
+from repro.core.program_sim import PredictionReport, ProgramSimulator
 from repro.core.standard_sim import SimulationResult
 from repro.des import Environment, Event
+from repro.kernel.memo import memoize
 from repro.machine import emulator as emulator_mod
 from repro.machine.cpu import CompPhaseResult, NodeCPU, touched_blocks
 from repro.obs import TraceConfig, Tracer, tracing
@@ -54,6 +62,7 @@ __all__ = [
     "simulate_causal_reference",
     "run_phase_reference",
     "build_ge_trace_reference",
+    "simulate_program_reference",
     "REFERENCE_SIMULATORS",
     "reference_engine",
 ]
@@ -517,6 +526,113 @@ def build_ge_trace_reference(config: GEConfig) -> ProgramTrace:
     return trace
 
 
+# -- the whole-program loop (paper section 1) ----------------------------------
+
+
+def _resident_bytes(trace: ProgramTrace) -> dict[int, int]:
+    """Distinct-block footprint per processor, from the trace's work."""
+    return {
+        proc: sum(b * b * 8 for b in sizes.values())
+        for proc, sizes in trace.blocks_by_proc().items()
+    }
+
+
+def _comp_time(
+    sim: ProgramSimulator, step: Step, proc: int, resident: dict[int, int], cost_model
+) -> float:
+    total = 0.0
+    ops = step.work.get(proc, ())
+    for w in ops:
+        cost = cost_model.cost(w.op, w.b)
+        if sim.cache_model is not None:
+            cost += sim.cache_model.extra_cost(
+                w.op, w.b, resident.get(proc, 0)
+            )
+        total += cost
+    if ops and sim.iter_overhead_us:
+        total += sim.iter_overhead_us * len(ops)
+    return total
+
+
+def simulate_program_reference(sim: ProgramSimulator, trace: ProgramTrace) -> PredictionReport:
+    """What ``sim.run(trace)`` returns, walked over the trace's objects.
+
+    Per step: each processor's computation phase is priced op by op and
+    added to its clock, then the step's communication pattern runs
+    through ``program_sim._SIMULATORS[sim.mode]`` (the kernel's step
+    simulators, or the oracle's under :func:`reference_engine`) with the
+    current clocks as start times.  Traced, it emits the ``compute``
+    slices and ``sim.program_*`` counters on the ``sim:<mode>`` track.
+    """
+    tracer = get_tracer()
+    with tracer.in_track(f"sim:{sim.mode}"):
+        simulate = program_sim._SIMULATORS[sim.mode]
+        cost_model = memoize(sim.cost_model)
+        rng = sim.rng if sim.rng is not None else np.random.default_rng(sim.seed)
+        clocks = {p: 0.0 for p in range(trace.num_procs)}
+        comp = {p: 0.0 for p in range(trace.num_procs)}
+        comm_busy = {p: 0.0 for p in range(trace.num_procs)}
+        resident = _resident_bytes(trace) if sim.cache_model else {}
+        traced = tracer.enabled and tracer.wants("compute")
+
+        for step_idx, step in enumerate(trace.steps):
+            for proc in step.work:
+                t = _comp_time(sim, step, proc, resident, cost_model)
+                if t:
+                    if traced:
+                        tracer.slice(
+                            "compute", proc=proc, ts=clocks[proc], dur=t,
+                            step=step_idx, ops=len(step.work.get(proc, ())),
+                        )
+                    clocks[proc] += t
+                    comp[proc] += t
+
+            if step.pattern is not None and step.pattern.remote_messages():
+                participants = {
+                    p
+                    for m in step.pattern.remote_messages()
+                    for p in (m.src, m.dst)
+                }
+                starts = {p: clocks[p] for p in participants}
+                result = simulate(sim.params, step.pattern, start_times=starts, rng=rng)
+                timeline = result.timeline
+
+                if sim.overlap:
+                    # Overlap extension: the CPU pays engaged time only;
+                    # data dependencies pin it to its last receive end.
+                    for p in participants:
+                        busy = timeline.busy_time(p)
+                        comm_busy[p] += busy
+                        last_recv = max(
+                            (
+                                e.end
+                                for e in timeline.events
+                                if e.proc == p and e.kind is OpKind.RECV
+                            ),
+                            default=0.0,
+                        )
+                        clocks[p] = max(starts[p] + busy, last_recv)
+                else:
+                    # One scan for all processors (bit-equal to per-proc
+                    # busy_time(): same per-proc summation order).
+                    busy = timeline.busy_times()
+                    for p in participants:
+                        comm_busy[p] += busy.get(p, 0.0)
+                        clocks[p] = result.ctimes.get(p, clocks[p])
+
+        total = max(clocks.values(), default=0.0)
+        if tracer.enabled:
+            tracer.count("sim.program_steps", len(trace.steps))
+            tracer.count("sim.program_runs")
+        return PredictionReport(
+            total_us=total,
+            per_proc_comp_us=comp,
+            per_proc_total_us=dict(clocks),
+            per_proc_comm_busy_us=comm_busy,
+            meta=dict(trace.meta),
+        )
+
+
 REFERENCE_SIMULATORS = {
     "standard": simulate_standard_reference,
     "worstcase": simulate_worstcase_reference,
@@ -529,8 +645,9 @@ def reference_engine(tracer: Optional[Tracer] = None) -> Iterator[None]:
     """Run the whole prediction pipeline on the reference simulators.
 
     Injects the oracle where the pipeline looks its step simulators up:
-    the mode table (``program_sim._SIMULATORS``) that ``ProgramSimulator``
-    and the batch kernel's traced lanes read, and the emulator's causal
+    the mode table (``program_sim._SIMULATORS``) that the batch kernel's
+    traced lanes (``ProgramSimulator.run`` among them) and
+    :func:`simulate_program_reference` read, and the emulator's causal
     model (``repro.machine.emulator.simulate_causal``).
 
     Untraced, the batch lanes run the sink-free kernel steps and the

@@ -46,7 +46,7 @@ from repro.obs import Tracer, tracing
 from repro.sweep import expand_grid, run_sweep
 from repro.uq import UQSpec, run_uq
 
-from .oracle import reference_engine
+from .oracle import reference_engine, simulate_program_reference
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
@@ -98,11 +98,16 @@ def _engine(fast, tracer=None):
 
 
 def _predict(trace, params, cost_model, mode, fast):
-    """One traced prediction run: (report, tracer event stream reprs)."""
+    """One traced prediction run: (report, tracer event stream reprs).
+
+    ``fast`` runs ``ProgramSimulator.run``; otherwise the oracle's
+    whole-program loop runs on the reference simulators.
+    """
     clear_all_caches()
     tracer = Tracer()
+    sim = ProgramSimulator(params, cost_model, mode=mode, seed=0)
     with _engine(fast, tracer):
-        report = ProgramSimulator(params, cost_model, mode=mode, seed=0).run(trace)
+        report = sim.run(trace) if fast else simulate_program_reference(sim, trace)
     return report, [repr(e) for e in tracer.events]
 
 
@@ -245,9 +250,10 @@ class TestBatchLanes:
             for mode in GE_MODES:
                 clear_all_caches()
                 with reference_engine():
-                    ref = ProgramSimulator(
-                        lane_params, cost_model, mode=mode, seed=seed
-                    ).run(trace)
+                    ref = simulate_program_reference(
+                        ProgramSimulator(lane_params, cost_model, mode=mode, seed=seed),
+                        trace,
+                    )
                 got = reports[mode]
                 assert repr(got.total_us) == repr(ref.total_us), (mode, seed)
                 assert repr(got.per_proc_total_us) == repr(ref.per_proc_total_us)

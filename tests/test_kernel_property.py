@@ -26,7 +26,7 @@ from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.kernel import clear_all_caches
 from repro.trace import TraceBuilder
 
-from .oracle import reference_engine
+from .oracle import reference_engine, simulate_program_reference
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
@@ -66,9 +66,12 @@ def _build(spec):
 
 
 def _run(trace, mode, fast, seed):
+    """``ProgramSimulator.run`` (``fast``), or the oracle's whole-program
+    loop on the reference simulators."""
     clear_all_caches()
+    sim = ProgramSimulator(MEIKO_CS2, CM, mode=mode, seed=seed)
     with nullcontext() if fast else reference_engine():
-        report = ProgramSimulator(MEIKO_CS2, CM, mode=mode, seed=seed).run(trace)
+        report = sim.run(trace) if fast else simulate_program_reference(sim, trace)
     return (
         repr(report.total_us),
         repr(report.per_proc_total_us),

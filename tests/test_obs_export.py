@@ -33,7 +33,7 @@ from repro.obs.export import (
 from repro.obs.telemetry import TraceShard, merge_shards, write_merged_trace
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -201,7 +201,7 @@ if HAVE_HYPOTHESIS:
                 elif where == "inside":
                     start = draw(st.floats(phase.ts, phase.end))
                 else:  # may straddle either edge of any phase
-                    start = draw(st.floats(-3.0, t + 3.0))
+                    start = draw(st.floats(min(-3.0, t + 3.0), t + 3.0))
                 length = draw(st.sampled_from(["zero", "edge", "free"]))
                 if length == "zero":
                     dur = 0.0
@@ -210,7 +210,9 @@ if HAVE_HYPOTHESIS:
                 else:
                     dur = draw(st.floats(0.0, 6.0))
                 ops.append(_slice(draw(st.sampled_from(_COMM_OPS)), start, dur))
-        extra = [_slice("compute", draw(st.floats(-3.0, t)), 1.0)]
+        # t reaches -8 after four empty phases that each start 2 earlier:
+        # the lower bound follows it so the interval is never empty
+        extra = [_slice("compute", draw(st.floats(min(-3.0, t), t)), 1.0)]
         return draw(st.permutations(phases + ops + extra))
 
     _events = st.lists(
@@ -245,6 +247,12 @@ class TestWaitSynthesis:
     if HAVE_HYPOTHESIS:
 
         @given(slices=_lane())
+        @example(slices=[  # the lowest lane: four empty phases, t = -8
+            _slice("comm", -2.0, 0.0), _slice("comm", -4.0, 0.0),
+            _slice("comm", -6.0, 0.0), _slice("comm", -8.0, 0.0),
+            _slice("send", -5.0, 1.0), _slice("recv", -8.0, 0.0),
+            _slice("compute", -8.0, 1.0),
+        ])
         @settings(max_examples=400, deadline=None)
         def test_matches_quadratic_reference(self, slices):
             assert _synth_wait(slices) == _synth_wait_reference(slices)

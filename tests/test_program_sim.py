@@ -161,20 +161,7 @@ class TestIterOverheadExtension:
             ProgramSimulator(PARAMS, COSTS, iter_overhead_us=-1.0)
 
 
-class TestStepRecords:
-    def test_records_kept_when_asked(self):
-        sim = ProgramSimulator(PARAMS, COSTS, keep_steps=True)
-        report = sim.run(one_step_trace())
-        assert len(report.steps) == 1
-        rec = report.steps[0]
-        assert rec.comp_us == {0: 100.0}
-        assert rec.messages == 1
-        assert rec.comm_completion_us == pytest.approx(114.0)
-
-    def test_records_absent_by_default(self):
-        report = ProgramSimulator(PARAMS, COSTS).run(one_step_trace())
-        assert report.steps == []
-
+class TestEmptyTrace:
     def test_empty_trace(self):
         report = ProgramSimulator(PARAMS, COSTS).run(ProgramTrace(num_procs=2))
         assert report.total_us == 0.0

@@ -9,7 +9,6 @@ from repro.core import (
     CommPattern,
     LogGPParameters,
     OpKind,
-    StandardSimulator,
     simulate_standard,
 )
 
@@ -158,13 +157,6 @@ class TestDeterminismAndInvariants:
     def test_empty_pattern(self):
         res = simulate_standard(PARAMS, CommPattern(4))
         assert res.completion_time == 0.0
-
-    def test_simulator_class_matches_function(self):
-        pat = sample_pattern()
-        sim = StandardSimulator(MEIKO_CS2, rng=np.random.default_rng(0))
-        res_cls = sim.run(pat)
-        res_fn = simulate_standard(MEIKO_CS2, pat, seed=0)
-        assert res_cls.completion_time == pytest.approx(res_fn.completion_time)
 
     def test_elapsed_relative_to_start(self):
         pat = CommPattern(2, edges=[(0, 1, 1)])

@@ -1,18 +1,21 @@
-"""A traced sweep runs on the batch evaluator and emits the scalar stream.
+"""A traced sweep runs on the batch evaluator and emits the object-loop stream.
 
 Every GE point is evaluated by :func:`repro.kernel.vector.evaluate_ge_points_batch`,
 traced or not.  Traced, its lanes must emit exactly what the scalar
-engines emit for the same points, one point after another:
-:class:`~repro.core.program_sim.ProgramSimulator` in standard mode, then
-in worst-case mode, then the :class:`~repro.machine.MachineEmulator` —
+engines emit for the same points, one point after another: the oracle's
+whole-program loop over the trace's objects
+(``tests/oracle.py::simulate_program_reference``, on the kernel's step
+simulators) in standard mode, then in worst-case mode, then the
+:class:`~repro.machine.MachineEmulator` —
 the same simulated-time events (name, kind, ts, dur, proc, track, attrs;
 floats compared by ``repr``), the same ``sim.*``/``des.*``/``emulator.*``
 counters and the same results digest, at one worker and at two.
 
 The second half pins the differential oracle's reach:
 ``tests/oracle.py::reference_engine`` must route every communication
-step of both GE entry points through the reference simulators, or the
-oracle suites would compare the kernel with itself.
+step of both GE entry points and of ``ProgramSimulator.run`` through
+the reference simulators, or the oracle suites would compare the kernel
+with itself.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def _counters(tracer: Tracer) -> dict:
 
 
 def _reference(grid, uq):
-    """Each point through the scalar engines, in grid order, one tracer."""
+    """Each point through the object loop and the emulator, in grid order,
+    one tracer."""
     tracer = Tracer()
     summaries = []
     with tracing(tracer):
@@ -75,7 +79,9 @@ def _reference(grid, uq):
                 )
             trace = ge_trace(point.n, point.b, point.layout, params.P)
             std, wc = (
-                ProgramSimulator(params, cost, mode=mode, seed=point.seed).run(trace)
+                oracle.simulate_program_reference(
+                    ProgramSimulator(params, cost, mode=mode, seed=point.seed), trace
+                )
                 for mode in ("standard", "worstcase")
             )
             if emulator is None:
@@ -153,6 +159,15 @@ def test_reference_engine_reaches_oracle_from_batch(oracle_calls):
         evaluate_ge_points_batch(points, PARAMS, CM)
     steps = 2 * _comm_steps(96, 24, "diagonal") + _comm_steps(96, 48, "stripped")
     assert oracle_calls == {"standard": steps, "worstcase": steps}
+
+
+def test_reference_engine_reaches_oracle_from_program_simulator(oracle_calls):
+    trace = ge_trace(96, 24, "diagonal", PARAMS.P)
+    with oracle.reference_engine():
+        for mode in ("standard", "worstcase", "causal"):
+            ProgramSimulator(PARAMS, CM, mode=mode).run(trace)
+    steps = _comm_steps(96, 24, "diagonal")
+    assert oracle_calls == {"standard": steps, "worstcase": steps, "causal": steps}
 
 
 # -- a failed traced chunk -----------------------------------------------------

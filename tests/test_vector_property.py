@@ -5,9 +5,10 @@ the kernel's *step* simulators to the reference simulators
 (``tests/oracle.py``) on random programs; this suite pins the *batch* layer on top: for random
 programs, random machines, random seeds and random batch widths, every
 lane of :func:`repro.kernel.vector.simulate_programs_batch` must be
-bit-identical to a standalone scalar simulation of that lane — totals,
-per-processor breakdowns, *and* the tie-break RNG stream each lane
-consumed.  The GE-grid twin (:func:`evaluate_ge_points_batch`) is
+bit-identical to a standalone run of the oracle's whole-program loop
+(``tests/oracle.py::simulate_program_reference``) over that lane —
+totals, per-processor breakdowns, *and* the tie-break RNG stream each
+lane consumed.  The GE-grid twin (:func:`evaluate_ge_points_batch`) is
 pinned against the scalar sweep entrypoints, including the UQ
 replicate path.
 
@@ -42,7 +43,7 @@ from repro.sweep import SweepPoint
 from repro.trace import TraceBuilder
 from repro.uq import UQSpec
 
-from .oracle import reference_engine
+from .oracle import reference_engine, simulate_program_reference
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase")
@@ -105,11 +106,12 @@ def _report_key(report):
 
 
 def _scalar(trace, params, mode, seed, fast, rng=None):
-    """One ProgramSimulator run on the kernel (``fast``) or the oracle."""
+    """One run of the oracle's whole-program loop, on the kernel's step
+    simulators (``fast``) or on the reference simulators."""
     clear_all_caches()
     with nullcontext() if fast else reference_engine():
         sim = ProgramSimulator(params, CM, mode=mode, seed=seed, rng=rng)
-        return sim.run(trace)
+        return simulate_program_reference(sim, trace)
 
 
 # -- batch vs scalar kernel vs reference simulator ---------------------------

@@ -11,7 +11,6 @@ from repro.core import (
     simulate_standard,
     simulate_worstcase,
 )
-from repro.core.worstcase_sim import WorstCaseSimulator
 
 PARAMS = LogGPParameters(L=10.0, o=2.0, g=5.0, G=0.5, P=8)
 
@@ -115,9 +114,3 @@ class TestUpperBoundProperty:
         std = simulate_standard(PARAMS, pat, seed=trial)
         wc = simulate_worstcase(PARAMS, pat, seed=trial)
         assert wc.completion_time >= std.completion_time - 1e-9
-
-    def test_class_interface(self):
-        pat = sample_pattern()
-        sim = WorstCaseSimulator(MEIKO_CS2)
-        res = sim.run(pat)
-        res.timeline.validate(pat.messages)
