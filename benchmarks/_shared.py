@@ -4,7 +4,8 @@ Scale control
 -------------
 ``REPRO_BENCH_REDUCED=1`` in the environment switches from the paper's full scale
 (960x960, all 14 block sizes — a few minutes of simulation) to a reduced
-480x480 sweep (seconds).  The claims checked are the same.
+480x480 sweep (seconds).  The claims checked are the same; the
+``BENCH_*.json`` records land apart (see :func:`bench_json`).
 
 The expensive GE sweep is computed once per pytest session and shared by
 the Figure 7/8/9 benches; each bench prints the exact series the paper
@@ -25,8 +26,21 @@ from repro.machine import MachineEmulator
 from repro.obs import RunRecord, loggp_dict
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+REPO_ROOT = RESULTS_DIR.parent.parent
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "0") == "1"
+
+
+def bench_json(name: str) -> pathlib.Path:
+    """Where a bench writes its ``BENCH_<name>.json`` record.
+
+    Paper scale writes the checked-in record at the repo root; reduced
+    scale writes ``benchmarks/results/BENCH_<name>.reduced.json``
+    (git-ignored), so a quick run never overwrites the paper-scale one.
+    """
+    if REDUCED:
+        return RESULTS_DIR / f"BENCH_{name}.reduced.json"
+    return REPO_ROOT / f"BENCH_{name}.json"
 
 #: the paper's configuration (full) or the reduced one
 MATRIX_N = 480 if REDUCED else PAPER_MATRIX_N

@@ -17,7 +17,8 @@ and gates the two claims the kernel makes:
 "Steady state" means caches warm: the first kernel pass populates the
 cost memos (and doubles as the identity run), the second pass is the
 one timed.  ``points_per_sec_fast`` from that pass
-lands in ``BENCH_kernel.json`` at the repo root, which
+lands in ``BENCH_kernel.json`` at the repo root (at reduced scale in
+``benchmarks/results/BENCH_kernel.reduced.json``), which
 ``benchmarks/check_throughput.py --kernel`` compares against the
 checked-in baseline (``benchmarks/baselines/kernel_throughput.json``)
 in CI.  Run standalone with ``python benchmarks/bench_kernel.py`` or
@@ -41,6 +42,7 @@ from _shared import (  # noqa: E402
     MATRIX_N,
     PARAMS,
     REDUCED,
+    bench_json,
     scale_banner,
 )
 
@@ -49,7 +51,7 @@ from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid, run_sweep  # noqa: E402
 from tests.oracle import reference_engine  # noqa: E402
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+BENCH_JSON = bench_json("kernel")
 TARGET_SPEEDUP = 2.0
 
 

@@ -21,20 +21,28 @@ claim on the Figure 7 prediction sweep:
   config, demonstrating what deterministic sampling buys on top.
 
 Results are printed and recorded into ``BENCH_obs.json`` at the repo
-root — the perf-trajectory entry CI checks.
+root (at reduced scale in ``benchmarks/results/BENCH_obs.reduced.json``,
+the record CI checks).
 """
 
 import json
 import os
 import time
-from pathlib import Path
 
-from _shared import BLOCK_SIZES, COST_MODEL, MATRIX_N, PARAMS, REDUCED, scale_banner
+from _shared import (
+    BLOCK_SIZES,
+    COST_MODEL,
+    MATRIX_N,
+    PARAMS,
+    REDUCED,
+    bench_json,
+    scale_banner,
+)
 
 from repro.core import run_ge_point
 from repro.obs import RunRecord, TraceConfig, Tracer, get_tracer, loggp_dict, tracing
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+BENCH_JSON = bench_json("obs")
 TARGET_DISABLED_PCT = 5.0
 TARGET_ENABLED_PCT = 10.0
 #: the sampled demonstration config (1-in-16 on the per-message categories)

@@ -24,8 +24,9 @@ Gates (both hard, on every host):
 
 Latency (server-side, exact nearest-rank quantiles — the tracker
 window exceeds the request count) and throughput are recorded, not
-gated: they land in ``BENCH_serve.json`` at the repo root, which CI
-regenerates and uploads as an artifact.
+gated: they land in ``BENCH_serve.json`` at the repo root (at reduced
+scale in ``benchmarks/results/BENCH_serve.reduced.json``, which CI
+regenerates and uploads as an artifact).
 
 Run standalone with ``python benchmarks/bench_serve.py`` or via
 ``pytest benchmarks/bench_serve.py``.
@@ -41,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _shared import COST_MODEL, LAYOUTS, PARAMS, REDUCED  # noqa: E402
+from _shared import COST_MODEL, LAYOUTS, PARAMS, REDUCED, bench_json  # noqa: E402
 
 from repro.core.predictor import summarize_ge_point  # noqa: E402
 from repro.obs import RunRecord, loggp_dict  # noqa: E402
@@ -52,7 +53,7 @@ from repro.serve import (  # noqa: E402
     point_digest,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+BENCH_JSON = bench_json("serve")
 
 #: the serve workload has its own scale: many *distinct* cheap points
 #: (prediction only, no emulated measurement) rather than few expensive
@@ -139,7 +140,6 @@ def run_bench() -> dict:
             store_dir=str(Path(tmp) / "store"),
             cache_size=max(8, len(universe) // 2),  # force tier-2 traffic
             batch_window_s=0.005,
-            executor="auto",
         )
         with PredictionService(config) as service:
             t0 = time.perf_counter()

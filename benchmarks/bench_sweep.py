@@ -32,8 +32,9 @@ Gates:
   prevent: auto resolves to serial there, so the two runs share a code
   path).
 
-Results land in ``BENCH_sweep.json`` at the repo root (CI regenerates
-and uploads it as an artifact).  Run standalone with
+Results land in ``BENCH_sweep.json`` at the repo root (at reduced scale
+in ``benchmarks/results/BENCH_sweep.reduced.json``, which CI regenerates
+and uploads as an artifact).  Run standalone with
 ``python benchmarks/bench_sweep.py`` or via
 ``pytest benchmarks/bench_sweep.py``.
 """
@@ -55,6 +56,7 @@ from _shared import (  # noqa: E402
     MATRIX_N,
     PARAMS,
     REDUCED,
+    bench_json,
     scale_banner,
 )
 
@@ -64,7 +66,7 @@ from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid, run_sweep  # noqa: E402
 from tests.oracle import reference_engine  # noqa: E402
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+BENCH_JSON = bench_json("sweep")
 TARGET_SPEEDUP = 10.0
 SERIAL_SLACK = 1.05
 

@@ -28,7 +28,8 @@ Gates:
   ≥ 4 CPUs — reduced-scale points are too cheap for the lean sims to
   pay, and small-runner wall-clock is too noisy to gate.
 
-Results land in ``BENCH_vector.json`` at the repo root.  Run standalone
+Results land in ``BENCH_vector.json`` at the repo root (at reduced
+scale in ``benchmarks/results/BENCH_vector.reduced.json``).  Run standalone
 with ``python benchmarks/bench_vector.py`` or via
 ``pytest benchmarks/bench_vector.py``.
 """
@@ -49,6 +50,7 @@ from _shared import (  # noqa: E402
     MATRIX_N,
     PARAMS,
     REDUCED,
+    bench_json,
     scale_banner,
 )
 
@@ -63,7 +65,7 @@ from repro.obs import RunRecord, loggp_dict  # noqa: E402
 from repro.sweep import expand_grid  # noqa: E402
 from tests.oracle import simulate_program_reference  # noqa: E402
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_vector.json"
+BENCH_JSON = bench_json("vector")
 TARGET_SPEEDUP = 1.1
 LANE_SEEDS = tuple(range(8))
 LANE_B = 60

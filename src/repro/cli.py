@@ -17,7 +17,7 @@ Subcommands
                plus an optional LogGP sensitivity ranking
                (see :mod:`repro.uq`)
 ``serve``      run the prediction server: JSON over HTTP with a layered
-               cache (in-memory LRU -> experiment store -> sweep engine),
+               cache (in-memory LRU -> experiment store -> batch kernel),
                single-flighted misses and request batching
                (see :mod:`repro.serve`); ``--check`` runs an in-process
                self-test and exits
@@ -433,15 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch-max", type=int, default=64,
         help="most misses coalesced into one batch",
-    )
-    grp = p.add_argument_group("sweep engine")
-    grp.add_argument(
-        "-w", "--workers", type=_workers_arg, default="auto",
-        help="worker processes per batch sweep (integer or 'auto')",
-    )
-    grp.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="batch execution strategy (default: auto)",
     )
     p.add_argument(
         "--serve-manifests", metavar="DIR",
@@ -953,14 +944,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import PredictionClient, PredictionService, ServeConfig, serve_http
 
     params = _machine(args)
-    workers, executor = _resolve_executor(args)
     config = ServeConfig(
         store_dir=args.store,
         cache_size=args.cache_size,
         batch_window_s=args.batch_window_ms / 1000.0,
         batch_max=args.batch_max,
-        workers=workers,
-        executor=executor,
         manifest_dir=args.serve_manifests,
         machine=params,
     )

@@ -1,11 +1,12 @@
 """Request coalescing: the batching window behind the prediction server.
 
-Misses arriving at the server do not each launch their own sweep.  The
+Misses arriving at the server are not each evaluated on their own.  The
 first miss opens a *batching window*; every further miss landing inside
 it (up to ``batch_max``) rides the same batch, which the server then
-fans through one grouped :func:`repro.sweep.run_point_batch` call — so a
-burst of cold requests costs one sweep-engine dispatch (one executor
-decision, shared compiled plans, vectorized lanes), not N.
+hands to one :func:`repro.sweep.run_point_batch` call — so a burst of
+cold requests costs one store read per distinct point and one batch
+kernel call per machine/UQ group (shared compiled plans, vectorized
+lanes), not N.
 
 The batcher owns exactly one worker thread, which gives the layer two
 properties for free:

@@ -7,7 +7,7 @@ run that computed it.  Entries are immutable; the cache only ever swaps
 whole entries, so readers never observe a partially-updated value.
 
 The LRU sits in front of the shared :class:`~repro.experiments.ExperimentStore`
-(tier 2) and the sweep engine (tier 3, misses only) — see
+(tier 2) and the batch kernel (tier 3, misses only) — see
 :mod:`repro.serve.server` for the composition and DESIGN.md section 12
 for the hierarchy's invariants.
 """

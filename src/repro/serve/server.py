@@ -5,11 +5,14 @@
 
 1. **memory** — the fingerprint-keyed :class:`~repro.serve.cache.LRUCache`,
 2. **store** — the shared :class:`~repro.experiments.ExperimentStore`
-   (``run_sweep``'s resume short-circuit reads it; the progress
-   callback's ``source`` attribution tells the serve layer it hit), and
+   (the sweep engine's store short-circuit reads it once per point; the
+   batch's per-item ``source`` attribution tells the serve layer it
+   hit), and
 3. **computed** — a real simulation, reached only through the batching
-   window: misses coalesce into one grouped
-   :func:`repro.sweep.run_point_batch` call per window.
+   window: misses coalesce into one :func:`repro.sweep.run_point_batch`
+   call per window, which hands each machine/UQ group's misses to the
+   sweep's chunk evaluator in the server process — no executor
+   decision, no process pool.
 
 Concurrent identical misses are *single-flighted*: the first becomes the
 batch leader, later arrivals attach to the same future (tier
@@ -23,9 +26,10 @@ The repo's :class:`~repro.obs.Tracer` is deliberately not thread-safe,
 so the serve layer funnels *every* ambient-tracer emission through one
 internal lock: request threads take it only for their two per-request
 spans, and the batcher — whose batches are already serialised by its
-single worker thread — holds it across the whole grouped sweep so
-sweep-internal emissions never interleave with request spans.  Service statistics (tier tallies, latency quantiles) use plain
-lock-protected counters and work with tracing disabled.
+single worker thread — holds it across the whole batch evaluation so
+kernel emissions never interleave with request spans.  Service
+statistics (tier tallies, latency quantiles) use plain lock-protected
+counters and work with tracing disabled.
 
 The HTTP front-end is a stdlib ``ThreadingHTTPServer`` speaking JSON
 (``POST /v1/predict``, ``GET /healthz``, ``GET /v1/stats``).  Tests
@@ -67,19 +71,15 @@ class ServeConfig:
     """How one :class:`PredictionService` is wired.
 
     ``store_dir`` enables the store tier (``None``: memory + compute
-    only).  ``workers``/``executor`` are forwarded to each grouped sweep:
-    ``executor="auto"`` rides the self-tuning executor, and without an
-    executor ``workers > 1`` runs a process pool, anything else serial.
-    ``manifest_dir`` enables per-request and per-batch run manifests.
-    ``machine`` fills machine fields requests omit.
+    only); misses are computed in the server process.  ``manifest_dir``
+    enables per-request and per-batch run manifests.  ``machine`` fills
+    machine fields requests omit.
     """
 
     store_dir: Optional[str] = None
     cache_size: int = 4096
     batch_window_s: float = 0.01
     batch_max: int = 64
-    workers: Optional[int] = None
-    executor: Optional[str] = None
     manifest_dir: Optional[str] = None
     machine: LogGPParameters = MEIKO_CS2
     #: how long one request may wait on its batch before erroring out
@@ -278,32 +278,20 @@ class PredictionService:
             if leader_ctx is not None
             else None
         )
+        tracer = get_tracer()
         try:
-            tracer = get_tracer()
-            if tracer.enabled:
-                with self._obs_lock:
-                    # install the batch context so every sweep-interior
-                    # span (sweep.chunk, kernel, DES) parents under it
-                    prev_ctx = getattr(tracer, "context", None)
+            # hold the emission lock and install the batch context so
+            # every span the evaluation emits (kernel, DES) parents under it
+            with self._obs_lock:
+                prev_ctx = tracer.context
+                if tracer.enabled:
                     tracer.context = batch_ctx
-                    try:
-                        result = run_point_batch(
-                            items,
-                            self.cost_model,
-                            store_dir=self.config.store_dir,
-                            workers=self.config.workers,
-                            executor=self.config.executor,
-                        )
-                    finally:
-                        tracer.context = prev_ctx
-            else:
-                result = run_point_batch(
-                    items,
-                    self.cost_model,
-                    store_dir=self.config.store_dir,
-                    workers=self.config.workers,
-                    executor=self.config.executor,
-                )
+                try:
+                    result = run_point_batch(
+                        items, self.cost_model, store_dir=self.config.store_dir
+                    )
+                finally:
+                    tracer.context = prev_ctx
         except Exception as exc:  # noqa: BLE001 - fanned out to every waiter
             with self._flight_lock:
                 for p in batch:
@@ -452,7 +440,7 @@ class PredictionService:
                 "points": len(batch),
                 "computed": result.computed,
                 "cached": result.cached,
-                "groups": len(result.group_stats),
+                "groups": result.groups,
                 "wall_s": wall_s,
             },
         )

@@ -22,11 +22,16 @@ Quick start::
 
 The CLI front-end is ``python -m repro sweep [--workers auto|N]
 [--executor auto|serial|process] [--store DIR --resume]``; the
-differential test suite pins ``run_sweep`` results to the serial
-:func:`repro.core.predictor.run_ge_point` bit for bit, under both
-strategies.  ``--workers auto`` (the default) lets a calibrated cost
-model of the sweep itself choose between in-process serial and the
-process pool — see :mod:`repro.sweep.executor`.
+differential test suite pins ``run_sweep`` results to the one-point
+reference :func:`repro.core.predictor.summarize_ge_point` bit for bit,
+under both strategies.  ``--workers auto`` (the default) lets a
+calibrated cost model of the sweep itself choose between in-process
+serial and the process pool — see :mod:`repro.sweep.executor`.
+
+:func:`run_point_batch` is the prediction service's entry: a small
+batch of points, possibly under several machines and UQ specs, read
+from the store and computed in the calling process with the same
+chunk evaluator, with no executor decision and no pool.
 """
 
 from .batch import BatchItem, BatchResult, run_point_batch

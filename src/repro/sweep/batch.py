@@ -1,18 +1,21 @@
-"""Batch submission: heterogeneous prediction requests → grouped sweeps.
+"""Batch submission: heterogeneous prediction requests → grouped chunks.
 
-:func:`run_sweep` evaluates one grid under one machine.  The prediction
-service (:mod:`repro.serve`) coalesces whatever distinct requests arrive
-inside a batching window — points that may disagree on the machine
-parameters or carry different UQ specs — and needs them fanned through
-the sweep engine *as few sweeps as possible* so the PR 7 self-tuning
-executor and the vectorized batch kernel see whole batches, not
-point-at-a-time calls.
+:func:`run_sweep` evaluates one grid under one machine, choosing an
+executor and, for big grids, a process pool.  The prediction service
+(:mod:`repro.serve`) coalesces whatever distinct requests arrive inside
+a batching window — a handful of points that may disagree on the
+machine parameters or carry different UQ specs — and evaluates them in
+its own process, with no executor decision and no pool.
 
 :func:`run_point_batch` is that entrypoint: it groups items by
 ``(machine fingerprint, UQ tag)``, dedupes repeated points inside each
-group, runs one store-backed :func:`run_sweep` per group, and hands back
-summaries aligned with the submitted items plus per-item *source*
-attribution (``"cached"`` — the store already held it — or
+group, reads the store once per unique point (the sweep's own
+short-circuit, :func:`repro.sweep.runner._read_stored`) and hands the
+misses to the sweep's chunk evaluator
+(:func:`repro.sweep.runner._evaluate_chunk`), which persists each
+point it computes — also the ones finished before a failing point.  It
+returns summaries aligned with the submitted items plus per-item
+*source* attribution (``"cached"`` — the store already held it — or
 ``"computed"``), which is how the serve layer tells a store-tier hit
 from a genuine simulation without a second store read.
 """
@@ -26,9 +29,10 @@ from typing import Optional, Sequence, Union
 from ..core.fingerprint import loggp_fingerprint
 from ..core.loggp import LogGPParameters
 from ..experiments import PointSummary
+from ..obs import get_tracer
 from ..uq.spec import UQSpec
 from .points import SweepPoint
-from .runner import SweepStats, run_sweep
+from .runner import _evaluate_chunk, _open_store, _read_stored
 
 __all__ = ["BatchItem", "BatchResult", "run_point_batch"]
 
@@ -42,7 +46,7 @@ class BatchItem:
     uq: Optional[UQSpec] = None
 
     def group_key(self) -> tuple:
-        """Items sharing this key can ride one :func:`run_sweep` call."""
+        """Items sharing this key share one store handle and one chunk."""
         uq_tag = None
         if self.uq is not None and not self.uq.is_identity():
             uq_tag = self.uq.fingerprint()
@@ -51,14 +55,14 @@ class BatchItem:
 
 @dataclass
 class BatchResult:
-    """A completed batch: per-item summaries plus per-group sweep stats."""
+    """A completed batch: per-item summaries and sources."""
 
     #: aligned with the submitted items
     summaries: list[PointSummary]
     #: ``"cached"`` (store tier) or ``"computed"`` per item
     sources: list[str]
-    #: one :class:`SweepStats` per executed machine/UQ group
-    group_stats: list[SweepStats]
+    #: how many machine/UQ groups the batch split into
+    groups: int
 
     @property
     def computed(self) -> int:
@@ -76,10 +80,8 @@ def run_point_batch(
     cost_model,
     *,
     store_dir: Union[str, Path, None] = None,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> BatchResult:
-    """Evaluate a heterogeneous batch through grouped, store-backed sweeps.
+    """Evaluate a heterogeneous batch, one store-backed chunk per group.
 
     Parameters
     ----------
@@ -95,14 +97,12 @@ def run_point_batch(
         the group's machine fingerprint and UQ tag, so one directory
         safely serves every machine.  ``None`` computes without
         persistence (every item then reports ``"computed"``).
-    workers, executor:
-        Forwarded to :func:`run_sweep` per group (``executor="auto"``
-        rides the self-tuning executor; ``None``/``None`` runs serial).
+
+    The misses of every group are computed serially in the calling
+    process.  A point that raises fails the batch; the points its group
+    finished before it are already in the store.
     """
     items = list(items)
-    if not items:
-        return BatchResult(summaries=[], sources=[], group_stats=[])
-
     # -- group by (machine, uq), first-occurrence order ----------------------
     groups: dict[tuple, list[int]] = {}
     for idx, item in enumerate(items):
@@ -110,40 +110,27 @@ def run_point_batch(
 
     summaries: list[Optional[PointSummary]] = [None] * len(items)
     sources: list[Optional[str]] = [None] * len(items)
-    group_stats: list[SweepStats] = []
     for indices in groups.values():
         rep = items[indices[0]]
         # dedupe repeated points inside the group, preserving order
-        unique: list[SweepPoint] = []
-        position: dict[SweepPoint, int] = {}
+        unique = list(dict.fromkeys(items[idx].point for idx in indices))
+        position = {point: pos for pos, point in enumerate(unique)}
+        store = _open_store(store_dir, rep.params, cost_model, rep.uq)
+        found, pending = _read_stored(unique, store)
+        computed: dict[int, PointSummary] = {}
+        if pending:
+            computed = dict(
+                _evaluate_chunk(pending, rep.params, cost_model, store, rep.uq)
+            )
+            get_tracer().count("sweep.points_computed", len(computed))
         for idx in indices:
-            point = items[idx].point
-            if point not in position:
-                position[point] = len(unique)
-                unique.append(point)
-        point_source: dict[SweepPoint, str] = {}
+            pos = position[items[idx].point]
+            hit = found[pos]
+            summaries[idx] = hit if hit is not None else computed[pos]
+            sources[idx] = "cached" if hit is not None else "computed"
 
-        def _observe(done, total, point, source):
-            point_source[point] = source
-
-        result = run_sweep(
-            unique, rep.params, cost_model,
-            workers=workers,
-            executor=executor,
-            store=store_dir,
-            resume=True,
-            progress=_observe,
-            uq=rep.uq,
-        )
-        group_stats.append(result.stats)
-        for idx in indices:
-            point = items[idx].point
-            summaries[idx] = result.summaries[position[point]]
-            sources[idx] = point_source.get(point, "computed")
-
-    assert all(s is not None for s in summaries)
     return BatchResult(
         summaries=summaries,  # type: ignore[arg-type]
         sources=sources,  # type: ignore[arg-type]
-        group_stats=group_stats,
+        groups=len(groups),
     )

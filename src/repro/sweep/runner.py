@@ -138,12 +138,14 @@ def _evaluate_chunk(
 ) -> list[tuple[int, PointSummary]]:
     """``(index, summary)`` pairs of one chunk, in chunk order.
 
-    The one evaluator behind the serial arm, the cold probe and every
-    pool worker: the whole chunk goes through the batch evaluator
-    (:func:`_evaluate_pending_batch`), whose lanes also emit the chunk's
-    events when the sweep is traced.  It computes every point it is
-    given; which points are pending is :func:`run_sweep`'s call.  Every
-    evaluation calibrates the executor's point-cost model.
+    The one evaluator behind the serial arm, the cold probe, every pool
+    worker and a served batch's misses
+    (:func:`repro.sweep.batch.run_point_batch`): the whole chunk goes
+    through the batch evaluator (:func:`_evaluate_pending_batch`), whose
+    lanes also emit the chunk's events when the caller is traced.  It
+    computes every point it is given; which points are pending is the
+    caller's call (:func:`_read_stored`).  Every evaluation calibrates
+    the executor's point-cost model.
 
     A batch returns all its points or raises, so a failed one is
     recovered untraced: every point the batch finished before the
@@ -170,6 +172,52 @@ def _evaluate_chunk(
              else _evaluate_point(point, params, cost_model, store, uq))
             for pos, (idx, point) in enumerate(indexed)
         ]
+
+
+def _open_store(
+    directory: Union[str, Path, None],
+    params: LogGPParameters,
+    cost_model: CostModel,
+    uq: Optional[UQSpec],
+) -> Optional[ExperimentStore]:
+    """The store handle over ``directory`` for one machine and UQ spec."""
+    if directory is None:
+        return None
+    return ExperimentStore(
+        directory, params, cost_model,
+        extra_tag=uq.store_tag() if uq is not None else None,
+    )
+
+
+def _read_stored(
+    points: Sequence[SweepPoint], store: Optional[ExperimentStore]
+) -> tuple[list[Optional[PointSummary]], list[tuple[int, SweepPoint]]]:
+    """The store short-circuit: one read per point, before any compute.
+
+    Returns the stored summary of each point (``None`` where the store
+    holds none, or when ``store`` is ``None``) and the ``(index,
+    point)`` pairs left to compute, in order, and counts the hits as
+    ``sweep.points_cached``.  This is the only store read of a sweep or
+    of a served batch: :func:`_evaluate_chunk` computes every point it
+    is handed.
+    """
+    found: list[Optional[PointSummary]] = [None] * len(points)
+    pending: list[tuple[int, SweepPoint]] = []
+    for idx, point in enumerate(points):
+        hit = (
+            store.get(
+                point.n, point.b, point.layout,
+                seed=point.seed, with_measured=point.with_measured,
+            )
+            if store is not None
+            else None
+        )
+        if hit is None:
+            pending.append((idx, point))
+        else:
+            found[idx] = hit
+    get_tracer().count("sweep.points_cached", len(points) - len(pending))
+    return found, pending
 
 
 def _persist(
@@ -210,14 +258,7 @@ def _run_chunk(payload):
     """
     (store_dir, params, cost_model, uq, trace_doc,
      ctx_doc, shard_path, chunk_no, indexed) = payload
-    store = (
-        ExperimentStore(
-            store_dir, params, cost_model,
-            extra_tag=uq.store_tag() if uq is not None else None,
-        )
-        if store_dir is not None
-        else None
-    )
+    store = _open_store(store_dir, params, cost_model, uq)
     if trace_doc is None:
         results = _evaluate_chunk(indexed, params, cost_model, store, uq)
         return chunk_no, results, None, None
@@ -418,38 +459,17 @@ def run_sweep(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}"
         )
     if isinstance(store, (str, Path)):
-        store = ExperimentStore(
-            store, params, cost_model,
-            extra_tag=uq.store_tag() if uq is not None else None,
-        )
+        store = _open_store(store, params, cost_model, uq)
     tracer = get_tracer()
     t0 = time.perf_counter()
 
     total = len(points)
-    summaries: list[Optional[PointSummary]] = [None] * total
-    done = 0
-
-    # -- short-circuit stored points before any dispatch (the only store
-    # read: the chunk evaluator computes every point it is handed) ---------
-    pending: list[tuple[int, SweepPoint]] = []
-    for idx, point in enumerate(points):
-        hit = (
-            store.get(
-                point.n, point.b, point.layout,
-                seed=point.seed, with_measured=point.with_measured,
-            )
-            if resume and store is not None
-            else None
-        )
-        if hit is not None:
-            summaries[idx] = hit
-            done += 1
-            if progress is not None:
-                progress(done, total, point, "cached")
-        else:
-            pending.append((idx, point))
-    cached = done
-    tracer.count("sweep.points_cached", cached)
+    summaries, pending = _read_stored(points, store if resume else None)
+    cached = done = total - len(pending)
+    if progress is not None:
+        hits = (pt for pt, s in zip(points, summaries) if s is not None)
+        for seen, point in enumerate(hits, 1):
+            progress(seen, total, point, "cached")
 
     def finish(results: list[tuple[int, PointSummary]]) -> None:
         nonlocal done

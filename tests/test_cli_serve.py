@@ -69,7 +69,6 @@ class TestServeParser:
         assert args.cache_size == 4096
         assert args.batch_window_ms == pytest.approx(10.0)
         assert args.batch_max == 64
-        assert args.workers == "auto"
         assert args.check is False
 
     def test_machine_flags_reach_the_service_defaults(self, capsys):
@@ -83,5 +82,15 @@ class TestServeParser:
         assert small != default
 
     def test_workers_flag_rejects_garbage(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--workers", "many"])
+        # ``serve`` has no --workers; the parser still serves sweep and uq
+        for verb in ("sweep", "uq"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb, "--workers", "many"])
+            assert "workers must be an integer" in capsys.readouterr().err
+
+    def test_workers_flag_is_rejected(self, capsys):
+        # misses are evaluated in the server process: no pool to size
+        for flag in (["--workers", "2"], ["--executor", "serial"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
