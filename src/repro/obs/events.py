@@ -36,6 +36,16 @@ keep an *enabled* run close to the disabled one:
    Retained counts appear as ``obs.events.<category>`` once the stream
    is materialised.
 
+One rule decides retention (:meth:`Tracer._retains`) for slices,
+instants and communication steps alike, and one generator
+(:meth:`Tracer._comm_step_events`) expands a communication step into its
+retained ``comm``/``send``/``recv`` slices.  When it runs depends only
+on the filters: with every comm category on (sampled or not) the step
+is stored as one record and the generator runs at materialisation; with
+any comm category filtered out it runs at emission and only retained
+slices reach the buffer.  Content-keyed sampling makes both moments
+retain the same events.
+
 The ambient tracer
 ------------------
 Instrumented code asks for the current tracer with :func:`get_tracer` and
@@ -85,6 +95,9 @@ _R_COMM = 2      # (_R_COMM, algo, track, events, ctimes, start_times)
 #: per-category codes feeding the retention hash (stable across processes)
 _CAT_CODE = {cat: i + 1 for i, cat in enumerate(CATEGORIES)}
 
+#: the categories one communication step expands into
+_COMM_CATS = ("comm", "send", "recv")
+
 _M64 = 0xFFFFFFFFFFFFFFFF
 _MIX = 0x9E3779B97F4A7C15
 
@@ -113,44 +126,17 @@ class TraceEvent:
         return self.ts + self.dur
 
 
-def _expand_comm_step(
-    algo: str,
-    track: str,
-    events,
-    ctimes: Mapping[int, float],
-    start_times: Mapping[int, float],
-) -> Iterator[TraceEvent]:
-    """Deferred encoder of one communication step.
+def event_rows(events) -> list[tuple]:
+    """Events as plain ``(name, kind, ts, dur, proc, track, attrs)`` tuples.
 
-    Reproduces, event for event, what the eager tracer used to emit: per
-    participating processor an enclosing ``comm`` phase slice, with the
-    individual ``send``/``recv`` operation slices nested inside.  Any
-    change here breaks the bit-exact golden-export regression
-    (``tests/test_obs_sampling.py``).
+    The one row format: sweep workers ship it, trace shards store it one
+    JSON array per line, and the trace digest hashes it.
     """
-    by_proc: dict[int, list] = {}
-    for e in events:
-        by_proc.setdefault(e.proc, []).append(e)
-    for p in sorted(set(start_times) | set(by_proc)):
-        ops = by_proc.get(p, ())
-        start = start_times.get(p, ops[0].start if ops else 0.0)
-        finish = ctimes.get(p, start)
-        if not ops and finish <= start:
-            continue  # mentioned in start clocks but did nothing
-        yield TraceEvent(
-            name="comm", kind="slice", ts=start, dur=finish - start,
-            proc=p, track=track, attrs={"algo": algo},
-        )
-        for e in ops:
-            kind = e.kind.value  # "send" | "recv"
-            peer = e.message.dst if kind == "send" else e.message.src
-            attrs = {"peer": peer, "bytes": e.message.size, "uid": e.message.uid}
-            if kind == "recv" and e.arrival is not None:
-                attrs["arrival"] = e.arrival
-            yield TraceEvent(
-                name=kind, kind="slice", ts=e.start, dur=e.duration,
-                proc=e.proc, track=track, attrs=attrs,
-            )
+    return [
+        (e.name, e.kind, e.ts, e.dur, e.proc, e.track,
+         dict(e.attrs) if e.attrs else None)
+        for e in events
+    ]
 
 
 class Tracer:
@@ -180,16 +166,17 @@ class Tracer:
             cat: (self.config.enabled(cat), self.config.rate_of(cat), _CAT_CODE[cat])
             for cat in CATEGORIES
         }
-        #: whole-step deferral is valid while every comm category is
-        #: unfiltered — sampling (content-keyed, order-independent) can be
-        #: applied equally well at materialisation time, so only a filter,
-        #: whose contract is zero buffer writes, forces eager expansion
-        self._comm_deferred = all(
-            self._plans[c][0] for c in ("comm", "send", "recv")
+        #: categories recorded whole (on, unsampled): every event passes
+        #: with one set lookup, no call into :meth:`_retains`
+        self._whole = frozenset(
+            cat for cat, (on, rate, _) in self._plans.items() if on and rate == 1
         )
-        self._comm_sampled = any(
-            self._plans[c][1] > 1 for c in ("comm", "send", "recv")
-        )
+        #: a comm step is stored as one record while no comm category is
+        #: filtered out — sampling is content-keyed, so applying it when
+        #: the record materialises retains exactly what emission would;
+        #: a filter, whose contract is zero buffer writes, expands the
+        #: step at emission instead
+        self._comm_deferred = all(self._plans[c][0] for c in _COMM_CATS)
         self._seed_mix = (self.config.seed * 0x94D049BB133111EB) & _M64
         #: distributed trace context (:class:`repro.obs.telemetry.TraceContext`)
         #: — ``None`` (the default) keeps spans id-free, so pre-existing
@@ -230,11 +217,25 @@ class Tracer:
         h ^= h >> 29
         return h % rate == 0
 
-    def _tally(self, cache: dict, prefix: str, category: str, amount: int) -> None:
-        c = cache.get(category)
+    def _retains(self, cat: str, proc: int, ts: float, uid: int = 0) -> bool:
+        """The retention rule: is this event of category ``cat`` recorded?
+
+        A filtered category drops it (tallied in ``obs.dropped.<cat>``); a
+        sampled one keeps the 1-in-N subset :meth:`_keep` picks (rejects
+        tallied in ``obs.sampled.<cat>``).  Callers test ``cat in
+        self._whole`` first, so a category recorded whole never gets here.
+        """
+        on, rate, code = self._plans[cat]
+        if on and (rate == 1 or self._keep(code, rate, proc, ts, uid)):
+            return True
+        cache, prefix = (
+            (self._sampled, "obs.sampled.") if on else (self._dropped, "obs.dropped.")
+        )
+        c = cache.get(cat)
         if c is None:
-            c = cache[category] = self.metrics.counter(prefix + category)
-        c.inc(amount)
+            c = cache[cat] = self.metrics.counter(prefix + cat)
+        c.inc()
+        return False
 
     # -- emission -----------------------------------------------------------
     def slice(
@@ -250,25 +251,13 @@ class Tracer:
         if track is None:
             track = self.track
         cat = category_of(name, "slice", track)
-        on, rate, code = self._plans[cat]
-        if not on:
-            self._tally(self._dropped, "obs.dropped.", cat, 1)
-            return
-        if rate > 1 and not self._keep(code, rate, proc, ts):
-            self._tally(self._sampled, "obs.sampled.", cat, 1)
-            return
-        self._buf.append((_R_SLICE, name, ts, dur, proc, track, attrs or None))
+        if cat in self._whole or self._retains(cat, proc, ts):
+            self._buf.append((_R_SLICE, name, ts, dur, proc, track, attrs or None))
 
     def instant(self, name: str, ts: float, proc: int = -1, **attrs: Any) -> None:
         """Record a named point in (simulated) time."""
-        on, rate, code = self._plans["instant"]
-        if not on:
-            self._tally(self._dropped, "obs.dropped.", "instant", 1)
-            return
-        if rate > 1 and not self._keep(code, rate, proc, ts):
-            self._tally(self._sampled, "obs.sampled.", "instant", 1)
-            return
-        self._buf.append((_R_INSTANT, name, ts, proc, self.track, attrs or None))
+        if "instant" in self._whole or self._retains("instant", proc, ts):
+            self._buf.append((_R_INSTANT, name, ts, proc, self.track, attrs or None))
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Increment the counter ``name`` in the metrics registry."""
@@ -349,20 +338,26 @@ class Tracer:
     def emit_comm_step(self, timeline, ctimes: Mapping[int, float], algo: str) -> None:
         """Record one simulated communication step.
 
-        While ``comm``/``send``/``recv`` are all unfiltered (sampled or
-        not) this appends a *single* packed record referencing the step's
-        timeline — the per-processor ``comm`` phases and nested
-        ``send``/``recv`` operation slices materialise (and sampling, a
-        pure function of event content, applies) only at
-        export/aggregation time.  With a comm-category *filter* active —
+        While no comm category is filtered out this appends a *single*
+        packed record referencing the step's timeline, which
+        :meth:`_comm_step_events` expands (sampling included) when the
+        stream materialises.  With a comm-category filter active —
         whose contract is zero buffer writes for the filtered category —
-        the step expands eagerly instead, writing only retained events.
+        the same expansion runs now and only retained slices are written.
+        ``sim.ops.<algo>`` counts the simulated operations either way.
 
         ``timeline`` is a :class:`repro.core.events.StepTimeline` (duck
         typed: ``events`` with ``proc``/``kind``/``start``/``duration``/
         ``message``, and ``start_times``).
         """
         events = timeline.events
+        try:
+            ops_counter = self._ops_counters[algo]
+        except KeyError:
+            ops_counter = self._ops_counters[algo] = self.metrics.counter(
+                f"sim.ops.{algo}"
+            )
+        ops_counter.inc(len(events))
         if self._comm_deferred:
             # Snapshots guard against callers reusing the dicts; the event
             # list is copied into a tuple so later timeline.add() calls
@@ -371,90 +366,29 @@ class Tracer:
                 (_R_COMM, algo, self.track, tuple(events),
                  dict(ctimes), dict(timeline.start_times))
             )
-            try:
-                ops_counter = self._ops_counters[algo]
-            except KeyError:
-                ops_counter = self._ops_counters[algo] = self.metrics.counter(
-                    f"sim.ops.{algo}"
+        else:
+            self._buf.extend(
+                (_R_SLICE, e.name, e.ts, e.dur, e.proc, e.track, e.attrs)
+                for e in self._comm_step_events(
+                    algo, self.track, events, ctimes, timeline.start_times
                 )
-            ops_counter.inc(len(events))
-            return
-        self._emit_comm_step_filtered(events, timeline.start_times, ctimes, algo)
+            )
 
-    def _emit_comm_step_filtered(self, events, start_times, ctimes, algo) -> None:
-        """The non-default path: expand now, keeping only retained events."""
-        comm_on, comm_rate, comm_code = self._plans["comm"]
-        send_on, send_rate, send_code = self._plans["send"]
-        recv_on, recv_rate, recv_code = self._plans["recv"]
-        track = self.track
-        append = self._buf.append
-        keep = self._keep
-        dropped = {"comm": 0, "send": 0, "recv": 0}
-        sampled = {"comm": 0, "send": 0, "recv": 0}
-
-        by_proc: dict[int, list] = {}
-        for e in events:
-            by_proc.setdefault(e.proc, []).append(e)
-        for p in sorted(set(start_times) | set(by_proc)):
-            ops = by_proc.get(p, ())
-            start = start_times.get(p, ops[0].start if ops else 0.0)
-            finish = ctimes.get(p, start)
-            if not ops and finish <= start:
-                continue  # mentioned in start clocks but did nothing
-            if not comm_on:
-                dropped["comm"] += 1
-            elif comm_rate > 1 and not keep(comm_code, comm_rate, p, start):
-                sampled["comm"] += 1
-            else:
-                append(
-                    (_R_SLICE, "comm", start, finish - start, p, track,
-                     {"algo": algo})
-                )
-            for e in ops:
-                kind = e.kind.value  # "send" | "recv"
-                if kind == "send":
-                    on, rate, code = send_on, send_rate, send_code
-                else:
-                    on, rate, code = recv_on, recv_rate, recv_code
-                msg = e.message
-                if not on:
-                    dropped[kind] += 1
-                    continue
-                if rate > 1 and not keep(code, rate, e.proc, e.start, uid=msg.uid):
-                    sampled[kind] += 1
-                    continue
-                peer = msg.dst if kind == "send" else msg.src
-                attrs = {"peer": peer, "bytes": msg.size, "uid": msg.uid}
-                if kind == "recv" and e.arrival is not None:
-                    attrs["arrival"] = e.arrival
-                append((_R_SLICE, kind, e.start, e.duration, e.proc, track, attrs))
-
-        for cat, n in dropped.items():
-            if n:
-                self._tally(self._dropped, "obs.dropped.", cat, n)
-        for cat, n in sampled.items():
-            if n:
-                self._tally(self._sampled, "obs.sampled.", cat, n)
-        # the sim.* ops metric counts simulated operations, not retained ones
-        self.metrics.counter(f"sim.ops.{algo}").inc(len(events))
-
-    def _expand_comm_step_sampled(
+    def _comm_step_events(
         self, algo, track, events, ctimes, start_times
     ) -> Iterator[TraceEvent]:
-        """Deferred expansion of one comm step with sampling applied.
+        """The retained events of one communication step, in stream order.
 
-        Same ordering and skip rules as :func:`_expand_comm_step`; the
-        content-keyed :meth:`_keep` makes applying the sampler here (at
-        materialisation) indistinguishable from applying it at emission,
-        while the traced run itself pays only the one-record append.
-        Rejects are tallied into ``obs.sampled.<cat>`` as they surface.
+        Per participating processor (ascending) an enclosing ``comm``
+        phase slice, then that processor's ``send``/``recv`` operation
+        slices; a processor that only appears in the start clocks and
+        did nothing is skipped.  Each event passes :meth:`_retains`
+        unless its category is recorded whole, so under the default
+        config no event pays a retention call.  The golden exports of
+        ``tests/test_obs_sampling.py`` pin its output byte for byte.
         """
-        _, comm_rate, comm_code = self._plans["comm"]
-        _, send_rate, send_code = self._plans["send"]
-        _, recv_rate, recv_code = self._plans["recv"]
-        keep = self._keep
-        sampled = {"comm": 0, "send": 0, "recv": 0}
-
+        comm_whole, send_whole, recv_whole = (c in self._whole for c in _COMM_CATS)
+        retains = self._retains
         by_proc: dict[int, list] = {}
         for e in events:
             by_proc.setdefault(e.proc, []).append(e)
@@ -464,34 +398,30 @@ class Tracer:
             finish = ctimes.get(p, start)
             if not ops and finish <= start:
                 continue  # mentioned in start clocks but did nothing
-            if comm_rate > 1 and not keep(comm_code, comm_rate, p, start):
-                sampled["comm"] += 1
-            else:
+            if comm_whole or retains("comm", p, start):
                 yield TraceEvent(
                     name="comm", kind="slice", ts=start, dur=finish - start,
                     proc=p, track=track, attrs={"algo": algo},
                 )
             for e in ops:
                 kind = e.kind.value  # "send" | "recv"
-                rate, code = (
-                    (send_rate, send_code) if kind == "send"
-                    else (recv_rate, recv_code)
-                )
                 msg = e.message
-                if rate > 1 and not keep(code, rate, e.proc, e.start, uid=msg.uid):
-                    sampled[kind] += 1
+                sending = kind == "send"
+                if not (send_whole if sending else recv_whole) and not retains(
+                    kind, e.proc, e.start, msg.uid
+                ):
                     continue
-                peer = msg.dst if kind == "send" else msg.src
-                attrs = {"peer": peer, "bytes": msg.size, "uid": msg.uid}
-                if kind == "recv" and e.arrival is not None:
+                attrs = {
+                    "peer": msg.dst if sending else msg.src,
+                    "bytes": msg.size,
+                    "uid": msg.uid,
+                }
+                if not sending and e.arrival is not None:
                     attrs["arrival"] = e.arrival
                 yield TraceEvent(
                     name=kind, kind="slice", ts=e.start, dur=e.duration,
                     proc=e.proc, track=track, attrs=attrs,
                 )
-        for cat, n in sampled.items():
-            if n:
-                self._tally(self._sampled, "obs.sampled.", cat, n)
 
     # -- materialisation ----------------------------------------------------
     @property
@@ -527,14 +457,8 @@ class Tracer:
                         track=rec[4], attrs=rec[5],
                     )
                 )
-            elif self._comm_sampled:
-                out.extend(
-                    self._expand_comm_step_sampled(
-                        rec[1], rec[2], rec[3], rec[4], rec[5]
-                    )
-                )
             else:
-                out.extend(_expand_comm_step(rec[1], rec[2], rec[3], rec[4], rec[5]))
+                out.extend(self._comm_step_events(*rec[1:]))
         self._mat_records = upto
         # fold the newly materialised span into the per-category tallies
         fresh: dict[str, int] = {}
@@ -570,11 +494,7 @@ class Tracer:
         config, so filters and sampling have already been applied) and
         ship these rows back for :meth:`absorb_rows`.
         """
-        return [
-            (e.name, e.kind, e.ts, e.dur, e.proc, e.track,
-             dict(e.attrs) if e.attrs else None)
-            for e in self.events
-        ]
+        return event_rows(self.events)
 
     def absorb_rows(self, rows) -> None:
         """Append rows from :meth:`export_rows` (no re-filtering)."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .events import WALL_TRACK, TraceEvent, Tracer
+from .events import WALL_TRACK, TraceEvent, Tracer, event_rows
 from .export import _write_chrome
 from .metrics import MetricsRegistry
 
@@ -159,13 +159,6 @@ class TraceShard:
         return TraceContext.from_dict(self.context) if self.context else None
 
 
-def _event_row(e: TraceEvent) -> tuple:
-    return (
-        e.name, e.kind, e.ts, e.dur, e.proc, e.track,
-        dict(e.attrs) if e.attrs else None,
-    )
-
-
 def write_shard(
     path,
     tracer: Tracer,
@@ -187,7 +180,7 @@ def write_shard(
         context = getattr(tracer, "context", None)
     # materialise before snapshotting: materialisation tallies the
     # obs.events.* retained counters, which belong in the header
-    events = list(tracer.events)
+    rows = tracer.export_rows()
     header = {
         "schema": SHARD_SCHEMA,
         "label": label,
@@ -198,8 +191,8 @@ def write_shard(
     tmp = out.with_name(out.name + f".tmp.{os.getpid()}")
     with open(tmp, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in events:
-            fh.write(json.dumps(_event_row(e)) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
     os.replace(tmp, out)
     return out
 
@@ -314,7 +307,7 @@ def trace_digest(events: Iterable[TraceEvent]) -> str:
     worker-shard stream agree bit for bit — the trace-stitch CI gate.
     """
     rows = sorted(
-        (_event_row(e) for e in events if e.track != WALL_TRACK),
+        event_rows(e for e in events if e.track != WALL_TRACK),
         key=_sort_key,
     )
     h = hashlib.sha256()
@@ -406,8 +399,8 @@ def write_merged_events(merged: MergedTrace, path) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
-        for e in merged.events:
-            fh.write(json.dumps(_event_row(e)) + "\n")
+        for row in event_rows(merged.events):
+            fh.write(json.dumps(row) + "\n")
     return out
 
 

@@ -420,8 +420,8 @@ def run_sweep(
         dispatch.  ``False`` recomputes every point and overwrites its
         entry.
     chunk_size:
-        Points per dispatched chunk (default: grid split into ~4 chunks
-        per worker, balanced by point weight).
+        Points per dispatched chunk, at least 1 (default: grid split
+        into ~4 chunks per worker, balanced by point weight).
     progress:
         ``(done, total, point, source)`` callback, invoked once per
         point as its result lands (cached points first, then computed
@@ -452,6 +452,8 @@ def run_sweep(
     points = tuple(points)
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if executor is None:
         executor = "process" if workers is not None and workers > 1 else "serial"
     if executor not in EXECUTORS:
@@ -517,7 +519,7 @@ def run_sweep(
         finish(results)
         n_chunks = 1
     elif pending:
-        if chunk_size:
+        if chunk_size is not None:
             chunks = list(_chunked(pending, chunk_size))
         else:
             chunks = _weight_chunks(pending, decision.workers * 4)

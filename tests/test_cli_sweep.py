@@ -184,6 +184,17 @@ class TestExecutorFlag:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_bad_chunk_size_rejected(self, capsys, size):
+        # rejected before dispatch: a process pool fed no chunks used to
+        # end in "sweep lost results" with a traceback
+        code = main([*BASE, "--workers", "2", "--chunk-size", size,
+                     "--no-manifest"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: chunk_size must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_bad_executor_value_rejected(self, capsys):
         for value in ("gpu", "thread"):
             with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,8 @@ from repro.obs import (
     write_events_csv,
     write_events_jsonl,
 )
+from repro.obs.config import category_of
+from repro.obs.events import _CAT_CODE
 from repro.obs.ringbuf import CHUNK_SLOTS, RingBuffer
 from repro.sweep.points import expand_grid
 from repro.sweep.runner import run_sweep
@@ -56,12 +58,13 @@ def _golden_run() -> Tracer:
     return tracer
 
 
-def _ge_events(config=None):
+def _ge_events(config=None, modes=("standard",)):
     """A small traced simulator run; returns the tracer."""
     trace = build_ge_trace(GEConfig(n=96, b=24, layout=LAYOUTS["block2d"](4, 4)))
     tracer = Tracer(config=config)
     with tracing(tracer):
-        ProgramSimulator(MEIKO_CS2, CalibratedCostModel(), mode="standard").run(trace)
+        for mode in modes:
+            ProgramSimulator(MEIKO_CS2, CalibratedCostModel(), mode=mode).run(trace)
     return tracer
 
 
@@ -135,6 +138,52 @@ class TestCategoryFilters:
 
 
 class TestDeterministicSampling:
+    @pytest.mark.parametrize(
+        "categories, sample",
+        [
+            ("comm,send", None),  # filtered: the step expands at emission
+            ("comm,send,compute", "send=4"),  # filtered and sampled
+            (None, "send=4,recv=4"),  # deferred to materialisation, sampled
+        ],
+        ids=["eager", "eager-sampled", "deferred-sampled"],
+    )
+    def test_every_emission_mode_retains_the_filtered_full_stream(
+        self, categories, sample
+    ):
+        """Whenever a comm step expands, it keeps what the retention rule keeps.
+
+        The expected stream is the default config's full stream passed
+        through the category filter and the content-keyed 1-in-N rule.
+        """
+        cfg = TraceConfig.parse(categories=categories, sample=sample)
+        modes = ("standard", "causal")
+        full = _ge_events(modes=modes).events
+        tracer = _ge_events(cfg, modes)
+        expected = []
+        rejected: dict[str, int] = {}
+        for e in full:
+            cat = category_of(e.name, e.kind, e.track)
+            rate = cfg.rate_of(cat)
+            uid = e.attrs["uid"] if cat in ("send", "recv") else 0
+            if cfg.enabled(cat) and (
+                rate == 1 or tracer._keep(_CAT_CODE[cat], rate, e.proc, e.ts, uid)
+            ):
+                expected.append(e)
+            else:
+                rejected[cat] = rejected.get(cat, 0) + 1
+        assert 0 < len(expected) < len(full)
+        assert tracer.events == expected
+        # every comm-step reject is tallied once, as dropped or sampled out
+        # (a filtered compute category is skipped before emission instead)
+        counters = tracer.metrics.snapshot()["counters"]
+        comm_cats = [cat for cat in ("comm", "send", "recv") if cat in rejected]
+        tallied = {
+            cat: counters.get(f"obs.dropped.{cat}", 0)
+            + counters.get(f"obs.sampled.{cat}", 0)
+            for cat in comm_cats
+        }
+        assert tallied == {cat: rejected[cat] for cat in comm_cats}
+
     def test_sampled_stream_is_subset_and_accounted(self):
         full = _ge_events()
         sampled = _ge_events(TraceConfig.parse(sample="send=4,recv=4"))
@@ -159,24 +208,30 @@ class TestDeterministicSampling:
         b = _ge_events(TraceConfig.parse(sample="send=4,recv=4", seed=99))
         assert _keys(a.events) != _keys(b.events)
 
-    @pytest.mark.parametrize("mp_context", [None])
-    def test_one_and_two_workers_retain_identical_events(self, tmp_path, mp_context):
-        """ISSUE 6: same seed => identical retained sets across worker counts.
+    @pytest.mark.parametrize(
+        "categories, sample",
+        [
+            # every comm category on: steps expand at materialisation
+            ("compute,comm,send,recv", "send=4,recv=4"),
+            # recv filtered out: steps expand at emission, in the workers
+            ("compute,comm,send", "send=4"),
+        ],
+        ids=["deferred", "eager"],
+    )
+    def test_one_and_two_workers_retain_identical_events(self, categories, sample):
+        """Same seed => identical retained sets across worker counts.
 
         Wall spans are excluded by the category filter (worker wall clocks
         differ by construction); everything simulated must match exactly.
         """
         points = expand_grid(96, [12, 24, 48], ["block2d"], with_measured=False)
-        cfg = TraceConfig.parse(
-            categories="compute,comm,send,recv", sample="send=4,recv=4", seed=7
-        )
+        cfg = TraceConfig.parse(categories=categories, sample=sample, seed=7)
 
         def run(workers):
             tracer = Tracer(config=cfg)
             with tracing(tracer):
                 result = run_sweep(
-                    points, MEIKO_CS2, CalibratedCostModel(),
-                    workers=workers, mp_context=mp_context,
+                    points, MEIKO_CS2, CalibratedCostModel(), workers=workers,
                 )
             return result, tracer
 
@@ -187,8 +242,13 @@ class TestDeterministicSampling:
         assert t1.category_counts() == t2.category_counts()
         c1 = t1.metrics.snapshot()["counters"]
         c2 = t2.metrics.snapshot()["counters"]
-        sampled = lambda c: {k: v for k, v in c.items() if k.startswith("obs.sampled.")}
-        assert sampled(c1) == sampled(c2)
+        # wall spans are per chunk, so their drop count follows the workers
+        tallies = lambda c: {
+            k: v for k, v in c.items()
+            if k.startswith(("obs.sampled.", "obs.dropped."))
+            and not k.endswith(".wall")
+        }
+        assert tallies(c1) == tallies(c2)
 
 
 class TestTraceConfig:

@@ -87,6 +87,11 @@ class TestSerialEngine:
         with pytest.raises(ValueError, match="workers"):
             run_sweep(GRID, PARAMS, CM, workers=-1)
 
+    @pytest.mark.parametrize("chunk_size", [-1, 0])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            run_sweep(GRID, PARAMS, CM, workers=2, chunk_size=chunk_size)
+
 
 class TestParallelEngine:
     def test_bit_identical_to_serial(self):
