@@ -8,8 +8,11 @@ claim on the Figure 7 prediction sweep:
   cost, computed as (number of emission-site checks) x (measured cost of
   one ``get_tracer().enabled`` check) relative to the sweep time.  The
   check count is bounded by the events an *enabled* run emits, since
-  every disabled site corresponds to at most one suppressed event.
-  Target (asserted always): **< 5%**.
+  every disabled site corresponds to at most one suppressed event.  Each
+  of ``DISABLED_ROUNDS`` rounds times a check loop and an untraced sweep
+  back to back, so both see the same host load; the recorded bound is
+  the median round's.  (On a shared 2-CPU host either input alone drifts
+  about 2x between moments.)  Target (asserted always): **< 5%**.
 * ``enabled_overhead_pct`` — the honest price of recording: the same
   sweep under a live default-config tracer, relative to the disabled
   run.  Target (asserted on >= 4-CPU hosts, and CI-gated by
@@ -27,6 +30,7 @@ the record CI checks).
 
 import json
 import os
+import statistics
 import time
 
 from _shared import (
@@ -47,6 +51,8 @@ TARGET_DISABLED_PCT = 5.0
 TARGET_ENABLED_PCT = 10.0
 #: the sampled demonstration config (1-in-16 on the per-message categories)
 SAMPLE_SPEC = "send=16,recv=16"
+#: back-to-back (check loop, untraced sweep) pairs behind the disabled bound
+DISABLED_ROUNDS = 5
 
 
 def _kernel():
@@ -57,15 +63,6 @@ def _kernel():
         )
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _per_check_cost_s(checks: int = 1_000_000) -> float:
     """Measured cost of one disabled emission-site check."""
     t0 = time.perf_counter()
@@ -74,12 +71,23 @@ def _per_check_cost_s(checks: int = 1_000_000) -> float:
     return (time.perf_counter() - t0) / checks
 
 
+def _disabled_rounds(rounds: int) -> list[tuple[float, float]]:
+    """``(untraced sweep s, per-check s)`` pairs, each timed back to back."""
+    out = []
+    for _ in range(rounds):
+        per_check_s = _per_check_cost_s()
+        t0 = time.perf_counter()
+        _kernel()
+        out.append((time.perf_counter() - t0, per_check_s))
+    return out
+
+
 def _traced_sweep(config=None, repeats=2):
     """Best-of-``repeats`` enabled sweep: (seconds, retained events, tracer).
 
     A fresh tracer per repeat (the previous one is freed before the next
     run starts), so each repetition pays the same cold-buffer cost and
-    the minimum is comparable with ``_best_of`` on the disabled side.
+    the minimum is comparable with the fastest untraced round.
     """
     best = float("inf")
     tracer = None
@@ -95,7 +103,8 @@ def _traced_sweep(config=None, repeats=2):
 def test_obs_overhead(benchmark):
     _kernel()  # warm calibration tables and trace builders
 
-    disabled_s = _best_of(_kernel, repeats=3)
+    rounds = _disabled_rounds(DISABLED_ROUNDS)
+    disabled_s = min(sweep_s for sweep_s, _ in rounds)
     # sampled first: the default-config tracer below retains millions of
     # records, and holding those while timing the sampled sweep would
     # charge the smaller run for the bigger run's memory pressure
@@ -104,9 +113,12 @@ def test_obs_overhead(benchmark):
     )
     enabled_s, events, tracer = _traced_sweep()
 
-    per_check_s = _per_check_cost_s()
+    # each round's bound from its own check loop and sweep; the median round
+    round_bounds = [100.0 * events * per_check_s / sweep_s
+                    for sweep_s, per_check_s in rounds]
+    disabled_overhead_pct = statistics.median(round_bounds)
+    per_check_s = statistics.median(per_check_s for _, per_check_s in rounds)
     per_event_emit_ns = 1e9 * (enabled_s - disabled_s) / events if events else 0.0
-    disabled_overhead_pct = 100.0 * (events * per_check_s) / disabled_s
     enabled_overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
     sampled_overhead_pct = 100.0 * (sampled_s - disabled_s) / disabled_s
     cpu_count = os.cpu_count() or 1
@@ -129,6 +141,7 @@ def test_obs_overhead(benchmark):
         "per_check_ns": per_check_s * 1e9,
         "per_event_emit_ns": per_event_emit_ns,
         "disabled_overhead_pct": disabled_overhead_pct,
+        "disabled_bound_rounds": round_bounds,
         "enabled_overhead_pct": enabled_overhead_pct,
         "target_disabled_pct": TARGET_DISABLED_PCT,
         "target_enabled_pct": TARGET_ENABLED_PCT,
@@ -164,7 +177,9 @@ def test_obs_overhead(benchmark):
     print(f"  per-event emission      : {per_event_emit_ns:.1f} ns")
     print(f"  disabled-site check     : {per_check_s * 1e9:.1f} ns")
     print(f"  disabled overhead bound : {disabled_overhead_pct:.3f}% "
-          f"(target < {TARGET_DISABLED_PCT}%)")
+          f"(median of {DISABLED_ROUNDS} rounds "
+          f"{min(round_bounds):.2f}-{max(round_bounds):.2f}%, "
+          f"target < {TARGET_DISABLED_PCT}%)")
     print(f"  recorded -> {BENCH_JSON.name}")
 
     assert disabled_overhead_pct < TARGET_DISABLED_PCT

@@ -14,6 +14,27 @@ or ``chrome://tracing``.  Layout:
 
 Timestamps stay in microseconds — the package's native unit and the trace
 format's expected one, so no scaling is applied.
+
+One producer, :func:`_chrome_text`, writes the document as JSON text, one
+(track, proc) lane at a time.  The text is byte for byte what
+``json.dumps(doc, sort_keys=...)`` writes for the same records.  The
+``B``/``E`` records, nearly all of a trace, are filled into per-lane
+templates:
+
+* the templates are laid out the way the encoder lays an object out:
+  ``", "`` and ``": "`` separators, keys in insertion order or sorted
+  under ``sort_keys``, and keys, names and the track encoded by the
+  encoder itself (``ensure_ascii``);
+* an exact ``float`` is written as ``float.__repr__``, or as ``NaN``,
+  ``Infinity`` or ``-Infinity``; an exact ``int`` as ``int.__repr__``.
+  Those are the encoder's own spellings.  Every other value (``bool``,
+  ``None``, ``str``, lists, subclasses) goes through the encoder;
+* a record a template cannot express (an attr key that is not a ``str``,
+  or one named ``dur_us``) is encoded whole, as are the few ``M`` and
+  ``i`` records.
+
+:func:`to_chrome_trace` is ``json.loads`` of that text, so the in-memory
+and on-disk exports cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,8 +42,10 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from itertools import islice
-from typing import Iterable, Iterator, Optional
+from itertools import chain, islice
+from math import isfinite
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .events import WALL_TRACK, TraceEvent
 from .metrics import MetricsRegistry
@@ -47,84 +70,14 @@ _WAIT_EPS = 1e-9
 #: reserved args key carrying a slice's exact duration across export/import
 _DUR_KEY = "dur_us"
 
+# A lane's slices as rows ``(ts, -dur, dur, end, name, attrs)``; B/E order
+# is outermost-first, ``(ts, -dur)``.
+_TS, _NEG_DUR, _DUR, _END, _NAME = range(5)
+_NESTING_ORDER = itemgetter(_TS, _NEG_DUR)
+
 
 def _tid(proc: int) -> int:
     return proc if proc >= 0 else _MACHINE_TID
-
-
-def _synth_wait(slices: list[TraceEvent]) -> list[TraceEvent]:
-    """Wait slices for the uncovered parts of each ``comm`` phase.
-
-    Linear in the ops each phase covers.  The ops are sorted by
-    ``(ts, end)``, so a phase bisects to its first candidate (the first op
-    with ``ts >= phase.ts - eps``) and stops at the first op with
-    ``ts > phase.end + eps``.  That stop is exact because every emitted
-    ``send``/``recv`` has ``dur >= 0``: such an op ends past the phase too,
-    and so does every op after it.
-    """
-    out: list[TraceEvent] = []
-    ops = sorted(
-        (s for s in slices if s.name in _COMM_OPS), key=lambda s: (s.ts, s.end)
-    )
-    starts = [op.ts for op in ops]
-    for phase in (s for s in slices if s.name == "comm"):
-        cursor = phase.ts
-        limit = phase.end + _WAIT_EPS
-        for op in islice(ops, bisect_left(starts, phase.ts - _WAIT_EPS), None):
-            if op.ts > limit:
-                break
-            end = op.end
-            if end > limit:
-                continue
-            if op.ts - cursor > _WAIT_EPS:
-                out.append(
-                    TraceEvent(
-                        name="wait", kind="slice", ts=cursor, dur=op.ts - cursor,
-                        proc=phase.proc, track=phase.track,
-                    )
-                )
-            cursor = max(cursor, end)
-        if phase.end - cursor > _WAIT_EPS:
-            out.append(
-                TraceEvent(
-                    name="wait", kind="slice", ts=cursor, dur=phase.end - cursor,
-                    proc=phase.proc, track=phase.track,
-                )
-            )
-    return out
-
-
-def _nested_begin_end(slices: list[TraceEvent], pid: int) -> list[dict]:
-    """Emit one thread's slices as properly nested B/E pairs.
-
-    Slices are sorted outermost-first; a stack closes every slice that
-    ends at or before the next one starts.  Ties close children before
-    parents, which is what the B/E stack discipline requires.
-    """
-    ordered = sorted(slices, key=lambda s: (s.ts, -s.dur))
-    out: list[dict] = []
-    stack: list[TraceEvent] = []
-
-    def close(upto: float) -> None:
-        while stack and stack[-1].end <= upto:
-            top = stack.pop()
-            out.append(
-                {"ph": "E", "ts": top.end, "pid": pid, "tid": _tid(top.proc),
-                 "name": top.name}
-            )
-
-    for s in ordered:
-        close(s.ts)
-        ev = {"ph": "B", "ts": s.ts, "pid": pid, "tid": _tid(s.proc),
-              "name": s.name, "cat": s.track}
-        # The exact duration: E.ts - B.ts cannot recover it bit-for-bit
-        # ((ts + dur) - ts loses low bits), and the aggregation round-trip
-        # guarantee needs it.  Viewers show it as a slice property.
-        ev["args"] = {**(s.attrs or {}), _DUR_KEY: s.dur}
-        out.append(ev)
-        stack.append(s)
-    close(float("inf"))
-    return out
 
 
 def _group(
@@ -150,35 +103,192 @@ def _group(
     return tracks
 
 
-def _chrome_batches(
-    events: Iterable[TraceEvent], synthesize_wait: bool
-) -> Iterator[list[dict]]:
-    """The ``traceEvents`` records, one non-empty list at a time.
+def _wait_rows(rows: list[tuple]) -> list[tuple]:
+    """Wait rows for the uncovered parts of each ``comm`` phase.
 
-    A track's process-name record comes first, then one list per
-    processor (in proc order): its thread-name record, its slices as B/E
-    pairs, then its instants.  Only one list is alive at a time, so a
-    streamed write holds one thread's records, not the whole trace.
+    Linear in the ops each phase covers.  The ops are sorted by
+    ``(ts, end)``, so a phase bisects to its first candidate (the first op
+    with ``ts >= phase.ts - eps``) and stops at the first op with
+    ``ts > phase.end + eps``.  That stop is exact because every emitted
+    ``send``/``recv`` has ``dur >= 0``: such an op ends past the phase too,
+    and so does every op after it.
     """
-    for pid, (track, procs) in enumerate(_group(events).items()):
-        yield [{"ph": "M", "ts": 0, "pid": pid, "tid": 0, "name": "process_name",
-                "args": {"name": track}}]
-        for proc in sorted(procs):
-            slices, instants = procs[proc]
-            tid = _tid(proc)
-            batch = [{"ph": "M", "ts": 0, "pid": pid, "tid": tid,
-                      "name": "thread_name",
-                      "args": {"name": f"P{proc}" if proc >= 0 else "machine"}}]
-            if synthesize_wait and track != WALL_TRACK:
-                slices = slices + _synth_wait(slices)
-            batch.extend(_nested_begin_end(slices, pid))
-            for e in instants:
-                ev = {"ph": "i", "ts": e.ts, "pid": pid, "tid": tid,
-                      "name": e.name, "s": "t"}
-                if e.attrs:
-                    ev["args"] = dict(e.attrs)
-                batch.append(ev)
-            yield batch
+    out: list[tuple] = []
+    spans = sorted([(r[_TS], r[_END]) for r in rows if r[_NAME] in _COMM_OPS])
+    starts = [start for start, _ in spans]
+    for phase in rows:
+        if phase[_NAME] != "comm":
+            continue
+        cursor = phase[_TS]
+        phase_end = phase[_END]
+        limit = phase_end + _WAIT_EPS
+        for start, end in islice(spans, bisect_left(starts, cursor - _WAIT_EPS), None):
+            if start > limit:
+                break
+            if end > limit:
+                continue
+            if start - cursor > _WAIT_EPS:
+                dur = start - cursor
+                out.append((cursor, -dur, dur, cursor + dur, "wait", None))
+            if end > cursor:  # max(cursor, end), keeping the first on ties
+                cursor = end
+        if phase_end - cursor > _WAIT_EPS:
+            dur = phase_end - cursor
+            out.append((cursor, -dur, dur, cursor + dur, "wait", None))
+    return out
+
+
+def _value_text(encode: Callable[[object], str]) -> Callable[[object], str]:
+    """``value -> JSON text``, exactly as ``encode`` writes the value.
+
+    Exact floats and ints are spelt here the way the encoder spells them;
+    everything else is handed to the encoder.
+    """
+    float_repr, int_repr = float.__repr__, int.__repr__
+
+    def text(value) -> str:
+        kind = type(value)
+        if kind is float:
+            if value - value == 0.0:  # finite
+                return float_repr(value)
+            if value != value:
+                return "NaN"
+            return "Infinity" if value > 0 else "-Infinity"
+        if kind is int:
+            return int_repr(value)
+        return encode(value)
+
+    return text
+
+
+def _columns_text(
+    columns: list[tuple], text: Callable[[object], str]
+) -> list[list[str]]:
+    """``[list(map(text, c)) for c in columns]``, finite floats spelt in C.
+
+    A lane repeats most of its timestamps (an op's end is the next op's
+    start), so each distinct float is spelt once.  ``0.0 == -0.0`` share a
+    dict slot but not a spelling, so zeros are spelt one by one.
+    """
+    if set(map(type, chain(*columns))) == {float}:
+        distinct = set(chain(*columns))
+        if all(map(isfinite, distinct)):
+            spelt = dict(zip(distinct, map(float.__repr__, distinct)))
+            if spelt.pop(0.0, None) is None:
+                return [list(map(spelt.__getitem__, c)) for c in columns]
+            return [[spelt.get(v) or float.__repr__(v) for v in c] for c in columns]
+    return [list(map(text, c)) for c in columns]
+
+
+def _object(
+    fields: list[tuple[str, str, tuple]], encode, sort_keys: bool
+) -> tuple[str, tuple]:
+    """``(template, slots)`` of one JSON object, laid out as ``encode`` does.
+
+    ``fields`` are ``(key, template, slots)`` with unique ``str`` keys.  A
+    template is literal JSON text with ``%`` doubled, or ``%s`` holes;
+    ``slots`` say which of the caller's values fill its holes, in order.
+    """
+    if sort_keys:
+        fields = sorted(fields, key=itemgetter(0))
+    body = ", ".join(
+        f"{encode(k).replace('%', '%%')}: {t}" for k, t, _ in fields
+    )
+    return "{" + body + "}", tuple(s for _, _, slots in fields for s in slots)
+
+
+def _lane_text(
+    pid: int,
+    track: str,
+    proc: int,
+    slices: list[TraceEvent],
+    instants: list[TraceEvent],
+    synthesize_wait: bool,
+    encode: Callable[[object], str],
+    sort_keys: bool,
+) -> str:
+    """One thread's records as ``", "``-joined JSON text.
+
+    Its thread-name record, its slices (and synthesised waits) as properly
+    nested B/E pairs, then its instants.  Slices are sorted
+    outermost-first; a stack closes every slice that ends at or before the
+    next one starts.  Ties close children before parents, which is what
+    the B/E stack discipline requires.
+    """
+    tid = _tid(proc)
+    text = _value_text(encode)
+    out = [encode({"ph": "M", "ts": 0, "pid": pid, "tid": tid,
+                   "name": "thread_name",
+                   "args": {"name": f"P{proc}" if proc >= 0 else "machine"}})]
+    emit = out.append
+
+    rows = [(e.ts, -e.dur, e.dur, e.ts + e.dur, e.name, e.attrs) for e in slices]
+    if synthesize_wait and track != WALL_TRACK:
+        rows += _wait_rows(rows)
+    rows.sort(key=_NESTING_ORDER)
+
+    def literal(value) -> str:
+        return text(value).replace("%", "%%")
+
+    lane = [("pid", literal(pid), ()), ("tid", literal(tid), ())]
+    cat = ("cat", literal(track), ())
+    begins: dict[tuple, Optional[tuple]] = {}
+
+    def begin_template(name, keys: tuple) -> Optional[tuple]:
+        """``(template, pick)``: ``pick`` orders ``(ts, *attr values, dur)``."""
+        if _DUR_KEY in keys or any(type(k) is not str for k in keys):
+            return None
+        args = [(k, "%s", (i,)) for i, k in enumerate(keys, 1)]
+        args.append((_DUR_KEY, "%s", (len(keys) + 1,)))
+        template, slots = _object(
+            [("ph", '"B"', ()), ("ts", "%s", (0,)), *lane,
+             ("name", literal(name), ()), cat,
+             ("args", *_object(args, encode, sort_keys))],
+            encode, sort_keys,
+        )
+        return template, itemgetter(*slots)
+
+    def end_template(name) -> str:
+        return _object(
+            [("ph", '"E"', ()), ("ts", "%s", (0,)), *lane,
+             ("name", literal(name), ())],
+            encode, sort_keys,
+        )[0]
+
+    columns = list(zip(*rows)) or [()] * 6
+    ends = {name: end_template(name) for name in set(columns[_NAME])}
+    texts = _columns_text([columns[_TS], columns[_DUR], columns[_END]], text)
+    stack: list[tuple[float, str]] = []  # (end, its E record)
+    push, pop = stack.append, stack.pop
+    for (ts, _, dur, end, name, attrs), ts_text, dur_text, end_text in zip(
+        rows, *texts
+    ):
+        while stack and stack[-1][0] <= ts:
+            emit(pop()[1])
+        keys = tuple(attrs) if attrs else ()
+        try:
+            begin = begins[name, keys]
+        except KeyError:
+            begin = begins[name, keys] = begin_template(name, keys)
+        if begin is None:
+            emit(encode({"ph": "B", "ts": ts, "pid": pid, "tid": tid,
+                         "name": name, "cat": track,
+                         "args": {**(attrs or {}), _DUR_KEY: dur}}))
+        else:
+            template, pick = begin
+            values = map(text, attrs.values()) if attrs else ()
+            emit(template % pick((ts_text, *values, dur_text)))
+        push((end, ends[name] % end_text))
+    while stack and stack[-1][0] <= float("inf"):
+        emit(pop()[1])
+
+    for e in instants:
+        ev = {"ph": "i", "ts": e.ts, "pid": pid, "tid": tid, "name": e.name,
+              "s": "t"}
+        if e.attrs:
+            ev["args"] = dict(e.attrs)
+        emit(encode(ev))
+    return ", ".join(out)
 
 
 def _other_fields(metrics: Optional[MetricsRegistry]) -> dict:
@@ -189,16 +299,48 @@ def _other_fields(metrics: Optional[MetricsRegistry]) -> dict:
     return doc
 
 
+def _chrome_text(
+    events: Iterable[TraceEvent],
+    metrics: Optional[MetricsRegistry] = None,
+    synthesize_wait: bool = True,
+    sort_keys: bool = False,
+) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=...)`` of the Chrome trace, in pieces.
+
+    The document head, then per track its process-name record and one
+    piece per processor (in proc order), then the tail.  Only one lane's
+    records are alive at a time, so a streamed write holds one thread's
+    text, not the whole trace.
+    """
+    encode = json.JSONEncoder(sort_keys=sort_keys).encode
+    rest = encode(_other_fields(metrics))
+    if sort_keys:  # "traceEvents" sorts after every other top-level key
+        yield rest[:-1] + ', "traceEvents": ['
+    else:
+        yield '{"traceEvents": ['
+    sep = ""
+    for pid, (track, procs) in enumerate(_group(events).items()):
+        yield sep + encode({"ph": "M", "ts": 0, "pid": pid, "tid": 0,
+                            "name": "process_name", "args": {"name": track}})
+        sep = ", "
+        for proc in sorted(procs):
+            slices, instants = procs[proc]
+            yield sep + _lane_text(pid, track, proc, slices, instants,
+                                   synthesize_wait, encode, sort_keys)
+    yield "]}" if sort_keys else "], " + rest[1:]
+
+
 def to_chrome_trace(
     events: Iterable[TraceEvent],
     metrics: Optional[MetricsRegistry] = None,
     synthesize_wait: bool = True,
 ) -> dict:
-    """Convert an event stream to a Chrome trace-event JSON object."""
-    trace_events = [
-        ev for batch in _chrome_batches(events, synthesize_wait) for ev in batch
-    ]
-    return {"traceEvents": trace_events, **_other_fields(metrics)}
+    """Convert an event stream to a Chrome trace-event JSON object.
+
+    The object is ``json.loads`` of the text :func:`write_chrome_trace`
+    writes, so the two exports are one.
+    """
+    return json.loads("".join(_chrome_text(events, metrics, synthesize_wait)))
 
 
 def _write_chrome(
@@ -208,27 +350,9 @@ def _write_chrome(
     synthesize_wait: bool = True,
     sort_keys: bool = False,
 ) -> None:
-    """Stream ``json.dumps(to_chrome_trace(...), sort_keys=...)`` to ``path``.
-
-    Each batch goes through the C encoder and is written with its
-    brackets stripped, joined by the encoder's own ``", "``, so the bytes
-    equal the one-shot dump while neither the document nor its string is
-    ever built whole.
-    """
-    encode = json.JSONEncoder(sort_keys=sort_keys).encode
-    rest = encode(_other_fields(metrics))
-    if sort_keys:  # "traceEvents" sorts after every other top-level key
-        head, tail = rest[:-1] + ', "traceEvents": [', "]}"
-    else:
-        head, tail = '{"traceEvents": [', "], " + rest[1:]
+    """Stream ``json.dumps(to_chrome_trace(...), sort_keys=...)`` to ``path``."""
     with open(path, "w") as fh:
-        fh.write(head)
-        sep = ""
-        for batch in _chrome_batches(events, synthesize_wait):
-            fh.write(sep)
-            fh.write(encode(batch)[1:-1])
-            sep = ", "
-        fh.write(tail)
+        fh.writelines(_chrome_text(events, metrics, synthesize_wait, sort_keys))
 
 
 def write_chrome_trace(

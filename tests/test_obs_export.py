@@ -1,35 +1,41 @@
-"""The streaming Chrome exporter (repro.obs.export) against its references.
+"""The Chrome exporter (repro.obs.export) against the writer it replaced.
 
-Three properties are pinned here:
+The exporter writes JSON text from per-lane templates.  The dict-building
+writer it replaced is kept below, verbatim, as the reference:
+``_synth_wait`` (linear wait synthesis), ``_nested_begin_end`` (B/E
+records as dicts) and ``_to_chrome_trace_reference`` (per-track
+filtering around them).  Three properties are pinned here:
 
-1. **Linear wait synthesis is exact.**  ``_synth_wait`` bisects into the
-   sorted ops of each ``comm`` phase; it must return the identical list
-   to the quadratic scan it replaced, kept below as the reference
-   (hypothesis-verified on phase edges, zero-length and straddling ops).
+1. **Wait synthesis is exact.**  The reference ``_synth_wait`` bisects into
+   the sorted ops of each ``comm`` phase; it must return the identical list
+   to the quadratic scan it replaced (hypothesis-verified on phase edges,
+   zero-length and straddling ops), and the exporter's lanes must equal
+   the reference export on the same lanes.
 2. **One-pass grouping is exact.**  ``to_chrome_trace`` groups events
    once by ``(track, proc)``; it must equal the reference that re-filtered
    the stream per track and per processor.
-3. **Streamed writes are the one-shot dump.**  ``write_chrome_trace`` and
-   ``write_merged_trace`` write ``json.dumps(to_chrome_trace(...))`` byte
-   for byte, without holding the document: a ``tracemalloc`` bound
+3. **Streamed writes are the reference dump, byte for byte.**
+   ``write_chrome_trace`` and ``_write_chrome(sort_keys=True)`` (the
+   ``trace-merge`` writer) write ``json.dumps(reference, sort_keys=...)``,
+   also for the values JSON treats specially (non-finite floats, ``-0.0``,
+   bools, ``None``, nested lists, escapes, non-``str`` keys, an attr named
+   ``dur_us``), without holding the document: a ``tracemalloc`` bound
    guards the streaming.
 """
 
 import json
+import math
+import tempfile
 import tracemalloc
+from bisect import bisect_left
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from repro.obs import MetricsRegistry, to_chrome_trace, write_chrome_trace
 from repro.obs.events import WALL_TRACK, TraceEvent
-from repro.obs.export import (
-    _COMM_OPS,
-    _WAIT_EPS,
-    _nested_begin_end,
-    _synth_wait,
-    _tid,
-    _write_chrome,
-)
+from repro.obs.export import _COMM_OPS, _DUR_KEY, _WAIT_EPS, _tid, _write_chrome
 from repro.obs.telemetry import TraceShard, merge_shards, write_merged_trace
 
 try:
@@ -41,8 +47,83 @@ except ImportError:  # pragma: no cover - test extras absent
     HAVE_HYPOTHESIS = False
 
 
-# -- references: the quadratic wait scan and per-track filtering replaced ----
-# (``_nested_begin_end`` is unchanged, so the reference export reuses it)
+# -- references: the dict-building writer, verbatim ------------------------------
+def _synth_wait(slices: list[TraceEvent]) -> list[TraceEvent]:
+    """Wait slices for the uncovered parts of each ``comm`` phase.
+
+    Linear in the ops each phase covers.  The ops are sorted by
+    ``(ts, end)``, so a phase bisects to its first candidate (the first op
+    with ``ts >= phase.ts - eps``) and stops at the first op with
+    ``ts > phase.end + eps``.  That stop is exact because every emitted
+    ``send``/``recv`` has ``dur >= 0``: such an op ends past the phase too,
+    and so does every op after it.
+    """
+    out: list[TraceEvent] = []
+    ops = sorted(
+        (s for s in slices if s.name in _COMM_OPS), key=lambda s: (s.ts, s.end)
+    )
+    starts = [op.ts for op in ops]
+    for phase in (s for s in slices if s.name == "comm"):
+        cursor = phase.ts
+        limit = phase.end + _WAIT_EPS
+        for op in islice(ops, bisect_left(starts, phase.ts - _WAIT_EPS), None):
+            if op.ts > limit:
+                break
+            end = op.end
+            if end > limit:
+                continue
+            if op.ts - cursor > _WAIT_EPS:
+                out.append(
+                    TraceEvent(
+                        name="wait", kind="slice", ts=cursor, dur=op.ts - cursor,
+                        proc=phase.proc, track=phase.track,
+                    )
+                )
+            cursor = max(cursor, end)
+        if phase.end - cursor > _WAIT_EPS:
+            out.append(
+                TraceEvent(
+                    name="wait", kind="slice", ts=cursor, dur=phase.end - cursor,
+                    proc=phase.proc, track=phase.track,
+                )
+            )
+    return out
+
+
+def _nested_begin_end(slices: list[TraceEvent], pid: int) -> list[dict]:
+    """Emit one thread's slices as properly nested B/E pairs.
+
+    Slices are sorted outermost-first; a stack closes every slice that
+    ends at or before the next one starts.  Ties close children before
+    parents, which is what the B/E stack discipline requires.
+    """
+    ordered = sorted(slices, key=lambda s: (s.ts, -s.dur))
+    out: list[dict] = []
+    stack: list[TraceEvent] = []
+
+    def close(upto: float) -> None:
+        while stack and stack[-1].end <= upto:
+            top = stack.pop()
+            out.append(
+                {"ph": "E", "ts": top.end, "pid": pid, "tid": _tid(top.proc),
+                 "name": top.name}
+            )
+
+    for s in ordered:
+        close(s.ts)
+        ev = {"ph": "B", "ts": s.ts, "pid": pid, "tid": _tid(s.proc),
+              "name": s.name, "cat": s.track}
+        # The exact duration: E.ts - B.ts cannot recover it bit-for-bit
+        # ((ts + dur) - ts loses low bits), and the aggregation round-trip
+        # guarantee needs it.  Viewers show it as a slice property.
+        ev["args"] = {**(s.attrs or {}), _DUR_KEY: s.dur}
+        out.append(ev)
+        stack.append(s)
+    close(float("inf"))
+    return out
+
+
+# the quadratic wait scan ``_synth_wait`` replaced
 def _synth_wait_reference(slices):
     """Wait slices for the uncovered parts of each ``comm`` phase."""
     out = []
@@ -93,7 +174,7 @@ def _to_chrome_trace_reference(events, metrics=None, synthesize_wait=True):
             )
             slices = [e for e in mine if e.proc == proc and e.kind == "slice"]
             if synthesize_wait and track != WALL_TRACK:
-                slices = slices + _synth_wait_reference(slices)
+                slices = slices + _synth_wait(slices)
             trace_events.extend(_nested_begin_end(slices, pid))
             for e in mine:
                 if e.proc == proc and e.kind == "instant":
@@ -106,6 +187,35 @@ def _to_chrome_trace_reference(events, metrics=None, synthesize_wait=True):
     if metrics is not None:
         doc["otherData"] = {"metrics": metrics.snapshot()}
     return doc
+
+
+def _reference_dump(events, metrics=None, synthesize_wait=True, sort_keys=False):
+    """What the replaced writer wrote: the one-shot dump of the reference."""
+    doc = _to_chrome_trace_reference(
+        events, metrics=metrics, synthesize_wait=synthesize_wait
+    )
+    return json.dumps(doc, sort_keys=sort_keys)
+
+
+def _written(events, metrics=None, synthesize_wait=True, sort_keys=False):
+    """The file ``write_chrome_trace`` (or, sorted, ``_write_chrome``) writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        if sort_keys:
+            _write_chrome(events, path, metrics=metrics,
+                          synthesize_wait=synthesize_wait, sort_keys=True)
+        else:
+            write_chrome_trace(events, path, metrics=metrics,
+                               synthesize_wait=synthesize_wait)
+        return path.read_text()
+
+
+def _outcome(write, *args, **kwargs):
+    """The text ``write`` returns, or the type of the error it raises."""
+    try:
+        return write(*args, **kwargs)
+    except (TypeError, ValueError) as exc:  # e.g. mixed key types under sort_keys
+        return type(exc)
 
 
 # -- streams -------------------------------------------------------------------
@@ -173,6 +283,17 @@ STREAMS = {
         _instant("tick", 2.0, proc=-1, track="emulator"),
     ],
     "several_tracks": _mixed_stream(),
+    "json_values": [
+        _slice("compute", 0.0, 2.0, attrs={"ok": True, "none": None,
+                                           "nested": [1, [2.5, -0.0], "x"]}),
+        _slice("comm", -0.0, 5.0, attrs={"algo": 'q"uote\\ \t\x01 nön ✓'}),
+        _slice("send", 1.0, 0.0, attrs={"big": 2**70, "neg": -3, "f": 1e-300}),
+        _slice("recv", 4.0, 1.0, attrs={_DUR_KEY: "shadowed", "after": 1}),
+        _slice("compute", 6.0, math.inf, attrs={"%s {0} %%": "{}%d"}),
+        _slice('na"me %s {}', 7.0, 1.5, track="tr\u00e4ck %d {x}"),
+        _slice("compute", -math.inf, 1.0, proc=2),
+        _instant("tick", -0.0, attrs={"why": ["a", None, False]}),
+    ],
 }
 
 
@@ -229,6 +350,54 @@ if HAVE_HYPOTHESIS:
         max_size=40,
     )
 
+    # The values JSON treats specially: non-finite floats and -0.0, bools,
+    # None, big ints, nested lists and dicts, strings with quotes, control
+    # characters and non-ASCII text, the ``%`` and braces the exporter's
+    # templates escape, non-``str`` attr keys and an attr named ``dur_us``.
+    _ODD_TEXT = st.one_of(
+        st.sampled_from(['q"uote', "back\\slash", "tab\tnl\n\x00\x1f",
+                         "nön-ascii ✓ \U0001f600", "%s %d %% {} {0}", ""]),
+        st.text(max_size=6),
+    )
+    _TIME = st.one_of(
+        st.floats(-5, 100, allow_nan=False),
+        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0]),
+    )
+    _VALUE = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                  _TIME, st.floats(), _ODD_TEXT),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(_ODD_TEXT, inner, max_size=2),
+        ),
+        max_leaves=6,
+    )
+    _json_events = st.lists(
+        st.builds(
+            TraceEvent,
+            name=st.one_of(
+                st.sampled_from(["compute", "comm", "send", "recv"]), _ODD_TEXT
+            ),
+            kind=st.sampled_from(["slice", "instant"]),
+            ts=_TIME,
+            dur=_TIME,
+            proc=st.integers(-1, 3),
+            track=st.one_of(
+                st.sampled_from(["sim:standard", "emulator", WALL_TRACK]),
+                _ODD_TEXT,
+            ),
+            attrs=st.one_of(
+                st.none(),
+                st.dictionaries(
+                    st.one_of(st.sampled_from(["k", "peer", _DUR_KEY]),
+                              _ODD_TEXT, st.integers(0, 3)),
+                    _VALUE, max_size=4,
+                ),
+            ),
+        ),
+        max_size=40,
+    )
+
 
 # -- 1. wait synthesis ------------------------------------------------------------
 class TestWaitSynthesis:
@@ -243,6 +412,17 @@ class TestWaitSynthesis:
             TraceEvent(name="wait", kind="slice", ts=2.0, dur=3.0, proc=0,
                        track="sim:standard")
         ]
+        begins = [(ev["name"], ev["ts"], ev["args"]) for ev in
+                  to_chrome_trace([phase])["traceEvents"] if ev["ph"] == "B"]
+        assert begins == [("comm", 2.0, {_DUR_KEY: 3.0}),
+                          ("wait", 2.0, {_DUR_KEY: 3.0})]
+
+    def test_regular_lane_export_equals_reference_export(self):
+        slices = _steps("sim:standard", 1, 20)
+        for sort_keys in (False, True):
+            assert _written(slices, sort_keys=sort_keys) == _reference_dump(
+                slices, sort_keys=sort_keys
+            )
 
     if HAVE_HYPOTHESIS:
 
@@ -256,6 +436,13 @@ class TestWaitSynthesis:
         @settings(max_examples=400, deadline=None)
         def test_matches_quadratic_reference(self, slices):
             assert _synth_wait(slices) == _synth_wait_reference(slices)
+
+        @given(slices=_lane(), sort_keys=st.booleans())
+        @settings(max_examples=400, deadline=None)
+        def test_lane_export_equals_reference_export(self, slices, sort_keys):
+            assert _written(slices, sort_keys=sort_keys) == _reference_dump(
+                slices, sort_keys=sort_keys
+            )
 
 
 # -- 2. one-pass grouping ----------------------------------------------------------
@@ -302,7 +489,11 @@ class TestStreamedWrites:
         reg = _metrics() if metrics else None
         path = tmp_path / "t.json"
         write_chrome_trace(events, path, metrics=reg, synthesize_wait=synthesize_wait)
-        assert path.read_text() == json.dumps(
+        text = path.read_text()
+        assert text == _reference_dump(
+            events, metrics=reg, synthesize_wait=synthesize_wait
+        )
+        assert text == json.dumps(
             to_chrome_trace(events, metrics=reg, synthesize_wait=synthesize_wait)
         )
 
@@ -312,8 +503,39 @@ class TestStreamedWrites:
         reg = _metrics() if metrics else None
         path = tmp_path / "t.json"
         _write_chrome(events, path, metrics=reg, sort_keys=True)
+        assert path.read_text() == _reference_dump(events, metrics=reg, sort_keys=True)
         assert path.read_text() == json.dumps(
             to_chrome_trace(events, metrics=reg), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    @pytest.mark.parametrize("metrics", [None, "registry"])
+    @pytest.mark.parametrize("synthesize_wait", [True, False])
+    def test_sorted_bytes_equal_reference_dump(self, name, metrics, synthesize_wait):
+        events = STREAMS[name]
+        reg = _metrics() if metrics else None
+        assert _written(
+            events, metrics=reg, synthesize_wait=synthesize_wait, sort_keys=True
+        ) == _reference_dump(
+            events, metrics=reg, synthesize_wait=synthesize_wait, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_inexpressible_records_are_encoded_whole(self, sort_keys):
+        """Non-``str`` attr keys and a ``dur_us`` attr go through the encoder.
+
+        Under ``sort_keys`` a key of another type cannot be ordered against
+        ``dur_us``: both writers raise the encoder's ``TypeError``.
+        """
+        for attrs in ({_DUR_KEY: 7, "k": "v"}, {1: "one", "k": None},
+                      {2.5: [1]}, {None: 0, True: 1}):
+            events = [_slice("send", 1.0, 2.0, attrs=attrs),
+                      _instant("mark", 1.5, attrs=attrs)]
+            assert _outcome(_written, events, sort_keys=sort_keys) == (
+                _outcome(_reference_dump, events, sort_keys=sort_keys)
+            )
+        assert _written([_slice("send", 1.0, 2.0, attrs={1: "one"})]) == (
+            _reference_dump([_slice("send", 1.0, 2.0, attrs={1: "one"})])
         )
 
     def test_merged_trace_equals_sorted_one_shot_dump(self, tmp_path):
@@ -329,9 +551,35 @@ class TestStreamedWrites:
             for i, part in enumerate((rows[::2], rows[1::2]))
         ])
         path = write_merged_trace(merged, tmp_path / "merged.json")
+        assert path.read_text() == _reference_dump(
+            merged.events, metrics=merged.metrics, sort_keys=True
+        )
         assert path.read_text() == json.dumps(
             to_chrome_trace(merged.events, metrics=merged.metrics), sort_keys=True
         )
+
+    if HAVE_HYPOTHESIS:
+
+        @given(events=_json_events, synthesize_wait=st.booleans(),
+               sort_keys=st.booleans())
+        @example(  # signed zeros on one lane: one dict slot, two spellings
+            events=[_slice("comm", 0.0, 3.0), _slice("send", -0.0, 1.0),
+                    _slice("recv", 2.0, -0.0), _slice("compute", 0.0, 0.0)],
+            synthesize_wait=True, sort_keys=False,
+        )
+        @example(  # an op ending at -0.0 on a cursor at 0.0: the cursor keeps 0.0
+            events=[_slice("comm", 0.0, 5.0), _slice("send", -0.0, -0.0),
+                    _slice("recv", 2.0, 1.0)],
+            synthesize_wait=True, sort_keys=False,
+        )
+        @settings(max_examples=300, deadline=None)
+        def test_random_json_values_equal_reference_dump(
+            self, events, synthesize_wait, sort_keys
+        ):
+            kwargs = dict(synthesize_wait=synthesize_wait, sort_keys=sort_keys)
+            assert _outcome(_written, events, **kwargs) == (
+                _outcome(_reference_dump, events, **kwargs)
+            )
 
     def test_peak_memory_is_under_half_the_one_shot_dump(self, tmp_path):
         events = [e for track in ("sim:standard", "sim:worstcase")
