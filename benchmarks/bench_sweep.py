@@ -7,10 +7,11 @@ cache, no experiment store — run three ways:
 * ``reference_s``   — ``run_sweep(..., workers=1)`` on the reference
   simulators of ``tests/oracle.py``: the bit-identity anchor everything
   else is judged against.
-* ``serial_fast_s`` — ``executor="serial"``: the vectorized batch
-  kernel, no pool.
-* ``auto_s``        — ``executor="auto"``: the self-tuning executor probes one point, estimates the grid, measures
-  spawn overhead and picks its strategy (recorded in ``decision``).
+* ``serial_fast_s`` — ``workers=1``: the vectorized batch kernel, no
+  pool.
+* ``auto_s``        — ``workers="auto"``: serial on one CPU or for a
+  light grid, else a pool as wide as the CPUs (the choice is recorded
+  in ``decision``).
 
 Gates:
 
@@ -28,9 +29,9 @@ Gates:
   scale on ≥ 4 CPUs; at reduced ``REPRO_BENCH_REDUCED`` scale (cheap points
   shrink the kernel's share) the numbers are recorded but not asserted.
 * ``serial_regression`` — on a 1-CPU host auto must not lose to forced
-  serial by more than 5% (the 0.87x regression this executor exists to
-  prevent: auto resolves to serial there, so the two runs share a code
-  path).
+  serial by more than 5% (the 0.87x regression the ``auto`` rule exists
+  to prevent: auto resolves to serial there, so the two runs share a
+  code path).
 
 Results land in ``BENCH_sweep.json`` at the repo root (at reduced scale
 in ``benchmarks/results/BENCH_sweep.reduced.json``, which CI regenerates
@@ -86,8 +87,8 @@ def run_bench() -> dict:
     cpus = os.cpu_count() or 1
 
     reference, reference_s = _timed_sweep(grid, fast=False, workers=1)
-    serial_fast, serial_fast_s = _timed_sweep(grid, fast=True, executor="serial")
-    auto, auto_s = _timed_sweep(grid, fast=True, executor="auto", workers=None)
+    serial_fast, serial_fast_s = _timed_sweep(grid, fast=True, workers=1)
+    auto, auto_s = _timed_sweep(grid, fast=True, workers="auto")
 
     ref_digest = reference.digest()
     identical = (

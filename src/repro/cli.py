@@ -6,11 +6,10 @@ Subcommands
                (the paper's Figures 4/5 for any pattern)
 ``predict``    predict a GE configuration (both algorithms + emulated run)
 ``sweep``      block-size sweep for GE, with optimum report (Figure 7);
-               ``--workers auto`` (default) self-tunes the execution
-               strategy, ``--workers N`` skips it (1: serial, N > 1: a
-               pool of N), ``--executor auto|serial|process`` overrides, and
-               ``--store DIR --resume`` makes interrupted sweeps restart
-               where they stopped (see :mod:`repro.sweep`)
+               ``--workers N`` runs serial (1) or a pool of N (N > 1),
+               ``--workers auto`` (default) picks by CPU count and grid
+               weight, and ``--store DIR --resume`` makes interrupted
+               sweeps restart where they stopped (see :mod:`repro.sweep`)
 ``uq``         Monte Carlo uncertainty bands around the sweep: seeded
                machine-parameter perturbations fanned as replicates
                through the sweep engine, reduced to mean/CI envelopes
@@ -106,7 +105,7 @@ from .obs import (
     write_merged_trace,
     write_shard,
 )
-from .sweep import EXECUTORS, expand_grid, run_sweep
+from .sweep import expand_grid, run_sweep
 from .trace.serialization import save_trace
 
 __all__ = ["main", "build_parser"]
@@ -193,32 +192,15 @@ def _workers_arg(value: str):
         )
 
 
-def _resolve_executor(args: argparse.Namespace):
-    """``(workers, executor)`` for :func:`run_sweep` from the CLI flags.
-
-    ``--workers auto`` (the default) means no width cap and, unless
-    ``--executor`` says otherwise, the self-tuning executor; an integer
-    passes through for :func:`run_sweep` to resolve.
-    """
-    if args.workers == "auto":
-        return None, args.executor or "auto"
-    return args.workers, args.executor
-
-
 def _add_sweep_engine_args(parser: argparse.ArgumentParser) -> None:
     """The execution knobs shared by ``sweep`` and ``uq``."""
     grp = parser.add_argument_group("sweep engine")
     grp.add_argument(
         "-w", "--workers", type=_workers_arg, default="auto",
-        help="worker processes: an integer (without --executor, 1 runs "
-             "serial in-process and N > 1 a process pool of N) or 'auto' "
-             "(default: let the calibrated executor decide)",
-    )
-    grp.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution strategy: serial, process, or auto (the default "
-             "when --workers is auto); every strategy is bit-identical — "
-             "only wall time differs",
+        help="worker processes: 1 runs serial in-process, N > 1 a process "
+             "pool of N, 'auto' (default) serial on one CPU or for a light "
+             "grid, else a pool as wide as the CPUs; every choice is "
+             "bit-identical — only wall time differs",
     )
     grp.add_argument(
         "--store", metavar="DIR",
@@ -666,13 +648,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with_measured=not args.no_measured,
     )
     show_progress = _sweep_progress(args)
-    workers, executor = _resolve_executor(args)
     tracer = _wants_trace(args)
     with tracing(tracer) if tracer else nullcontext():
         result = run_sweep(
             grid, params, CalibratedCostModel(),
-            workers=workers,
-            executor=executor,
+            workers=args.workers,
             store=args.store,
             resume=args.resume,
             chunk_size=args.chunk_size,
@@ -846,7 +826,6 @@ def _cmd_uq(args: argparse.Namespace) -> int:
             straggler_factor=args.straggler_factor,
         )
     cost_model = CalibratedCostModel()
-    workers, executor = _resolve_executor(args)
     tracer = _wants_trace(args)
     with tracing(tracer) if tracer else nullcontext():
         result = run_uq(
@@ -856,8 +835,7 @@ def _cmd_uq(args: argparse.Namespace) -> int:
             ci=args.ci,
             base_seed=args.seed,
             with_measured=not args.no_measured,
-            workers=workers,
-            executor=executor,
+            workers=args.workers,
             store=args.store,
             resume=args.resume,
             chunk_size=args.chunk_size,

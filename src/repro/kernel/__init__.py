@@ -87,5 +87,5 @@ def __getattr__(name: str):
 
 
 def clear_all_caches() -> None:
-    """Reset every kernel cache (cost memos, send tables, point costs)."""
+    """Reset every kernel cache (cost memos and send tables)."""
     clear_caches()

@@ -22,16 +22,13 @@ tuple, so UQ replicates sharing one worker process each hit their own
 bucket (regression-tested in ``tests/test_kernel_memo.py``).  Buckets
 are capped to keep long Monte Carlo runs bounded.
 
-The module also keeps the sweep executor's *point-cost* observations: a
-calibrated seconds-per-weight rate (EWMA over measured evaluations)
-that turns a GE configuration into a wall-time estimate.  This is the
-paper's own idea pointed at ourselves — predict the cost of a
-simulation before deciding how to schedule it.
+The module also defines :func:`point_weight`, the relative cost of one
+GE sweep point, which the sweep uses to balance its chunks and to keep
+light grids out of a process pool.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from ..core.fingerprint import cost_model_fingerprint
@@ -43,9 +40,6 @@ __all__ = [
     "send_durations",
     "clear_caches",
     "point_weight",
-    "observe_point_cost",
-    "estimate_point_cost",
-    "clear_cost_observations",
 ]
 
 #: per-(model class, fingerprint) (op, b) -> us buckets
@@ -128,15 +122,6 @@ def send_durations(params: LogGPParameters) -> dict[int, float]:
     return table
 
 
-#: EWMA of observed seconds per weight unit (None until first observation)
-_POINT_RATE: Optional[float] = None
-_POINT_OBSERVATIONS = 0
-_RATE_LOCK = threading.Lock()
-#: smoothing factor: heavy enough to converge in a few points, light
-#: enough that one noisy measurement (GC pause, cold cache) fades fast
-_EWMA_ALPHA = 0.3
-
-
 def point_weight(n: int, b: int, with_measured: bool = True) -> float:
     """Relative cost weight of one GE sweep point.
 
@@ -145,53 +130,17 @@ def point_weight(n: int, b: int, with_measured: bool = True) -> float:
     fan-outs over ``O(m)`` steps with ``O(m^2)`` block updates, so a
     cubic-plus-quadratic polynomial in ``m`` tracks measured wall times
     well across the Figure 7 grid.  The emulated "measured" run roughly
-    doubles a point (profiled: emulator ≈ prediction cost).  Only
-    *relative* accuracy matters — the calibrated rate absorbs the unit.
+    doubles a point (profiled: emulator ≈ prediction cost).  The unit is
+    arbitrary: chunking compares weights with each other, and the
+    sweep's ``workers="auto"`` rule compares a grid's total with a fixed
+    floor in the same unit.
     """
     m = max(1.0, n / b)
     w = m * m * (m + 8.0)
     return w * 2.0 if with_measured else w
 
 
-def observe_point_cost(n: int, b: int, with_measured: bool, seconds: float) -> None:
-    """Fold one measured point evaluation into the calibrated rate."""
-    if seconds <= 0.0:
-        return
-    rate = seconds / point_weight(n, b, with_measured)
-    global _POINT_RATE, _POINT_OBSERVATIONS
-    with _RATE_LOCK:
-        if _POINT_RATE is None:
-            _POINT_RATE = rate
-        else:
-            _POINT_RATE = _POINT_RATE + _EWMA_ALPHA * (rate - _POINT_RATE)
-        _POINT_OBSERVATIONS += 1
-
-
-def estimate_point_cost(n: int, b: int, with_measured: bool = True) -> Optional[float]:
-    """Estimated wall seconds of one point; ``None`` before calibration."""
-    with _RATE_LOCK:
-        rate = _POINT_RATE
-    if rate is None:
-        return None
-    return rate * point_weight(n, b, with_measured)
-
-
-def cost_observation_count() -> int:
-    """How many point evaluations have calibrated the rate."""
-    with _RATE_LOCK:
-        return _POINT_OBSERVATIONS
-
-
-def clear_cost_observations() -> None:
-    """Forget the calibrated point-cost rate (tests)."""
-    global _POINT_RATE, _POINT_OBSERVATIONS
-    with _RATE_LOCK:
-        _POINT_RATE = None
-        _POINT_OBSERVATIONS = 0
-
-
 def clear_caches() -> None:
     """Drop every memo bucket (tests and long-lived processes)."""
     _COST_CACHES.clear()
     _SEND_TABLES.clear()
-    clear_cost_observations()

@@ -21,12 +21,13 @@ Quick start::
         print(point.describe(), summary.pred_standard_total)
 
 The CLI front-end is ``python -m repro sweep [--workers auto|N]
-[--executor auto|serial|process] [--store DIR --resume]``; the
-differential test suite pins ``run_sweep`` results to the one-point
-reference :func:`repro.core.predictor.summarize_ge_point` bit for bit,
-under both strategies.  ``--workers auto`` (the default) lets a
-calibrated cost model of the sweep itself choose between in-process
-serial and the process pool — see :mod:`repro.sweep.executor`.
+[--store DIR --resume]``; the differential test suite pins
+``run_sweep`` results to the one-point reference
+:func:`repro.core.predictor.summarize_ge_point` bit for bit, under both
+strategies.  ``--workers`` is the one execution knob: ``1`` runs serial
+in-process, ``N > 1`` a process pool of N, and ``auto`` (the default)
+picks between them by a fixed rule over the CPU count and the grid's
+weight — see :mod:`repro.sweep.executor`.
 
 :func:`run_point_batch` is the prediction service's entry: a small
 batch of points, possibly under several machines and UQ specs, read
@@ -35,7 +36,7 @@ chunk evaluator, with no executor decision and no pool.
 """
 
 from .batch import BatchItem, BatchResult, run_point_batch
-from .executor import EXECUTORS, ExecutorDecision, decide_executor
+from .executor import ExecutorDecision, decide_executor
 from .points import SweepPoint, expand_grid
 from .runner import SweepResult, SweepStats, run_sweep
 
@@ -48,7 +49,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "run_point_batch",
-    "EXECUTORS",
     "ExecutorDecision",
     "decide_executor",
 ]

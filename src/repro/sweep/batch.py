@@ -1,7 +1,7 @@
 """Batch submission: heterogeneous prediction requests → grouped chunks.
 
-:func:`run_sweep` evaluates one grid under one machine, choosing an
-executor and, for big grids, a process pool.  The prediction service
+:func:`run_sweep` evaluates one grid under one machine, in-process or,
+for big grids, in a process pool.  The prediction service
 (:mod:`repro.serve`) coalesces whatever distinct requests arrive inside
 a batching window — a handful of points that may disagree on the
 machine parameters or carry different UQ specs — and evaluates them in

@@ -4,15 +4,14 @@ The paper's headline result (Figures 7-9) is a 14-block-size ×
 multi-layout GE sweep; serially that is minutes of simulation.  This
 runner executes the same grid across ``workers`` processes:
 
-* **Self-tuning execution.**  With ``executor="auto"`` the runner
-  predicts the grid's serial cost from the memo layer's calibrated
-  point-cost model (probing one point when cold), measures the pool
-  spawn overhead once, and picks vectorized-serial or the process pool
-  — recording the decision in the stats (hence the run manifest) and a
-  ``sweep.decide`` span.  See :mod:`repro.sweep.executor`.
-* **One evaluator.**  The serial arm, the cold probe and every pool
-  worker evaluate their points through :func:`_evaluate_chunk`, which
-  runs the whole chunk through the batch kernel, traced or not.
+* **One execution knob.**  ``workers`` is ``"auto"`` or an int >= 1;
+  a fixed rule over the CPU count and the grid's weight turns it into
+  vectorized-serial or the process pool, recorded in the stats (hence
+  the run manifest) and a ``sweep.decide`` span.  See
+  :mod:`repro.sweep.executor`.
+* **One evaluator.**  The serial arm and every pool worker evaluate
+  their points through :func:`_evaluate_chunk`, which runs the whole
+  chunk through the batch kernel, traced or not.
 * **Chunked scheduling.**  Pending points are split into contiguous
   chunks (default: ~4 chunks per worker) dispatched to a process pool as
   workers free up, so a few slow points (large ``b``, measured runs)
@@ -48,18 +47,11 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
 from ..experiments import ExperimentStore, PointSummary
-from ..kernel.memo import observe_point_cost, point_weight
+from ..kernel.memo import point_weight
 from ..obs import NULL_TRACER, TraceConfig, TraceContext, Tracer, get_tracer, tracing
 from ..obs.telemetry import write_shard
 from ..uq.spec import UQSpec
-from .executor import (
-    EXECUTORS,
-    ExecutorDecision,
-    available_cpus,
-    decide_executor,
-    estimate_grid_cost,
-    grid_weight,
-)
+from .executor import ExecutorDecision, check_workers, decide_executor, grid_weight
 from .points import SweepPoint
 
 __all__ = ["SweepStats", "SweepResult", "run_sweep"]
@@ -121,7 +113,7 @@ def _evaluate_point(
     store: Optional[ExperimentStore],
     uq: Optional[UQSpec] = None,
 ) -> PointSummary:
-    """One point as a one-point batch: compute, store put, cost observed.
+    """One point as a one-point batch: compute, then store put.
 
     What :func:`_evaluate_chunk` redoes a failed batch's unfinished
     points with.
@@ -138,14 +130,13 @@ def _evaluate_chunk(
 ) -> list[tuple[int, PointSummary]]:
     """``(index, summary)`` pairs of one chunk, in chunk order.
 
-    The one evaluator behind the serial arm, the cold probe, every pool
-    worker and a served batch's misses
+    The one evaluator behind the serial arm, every pool worker and a
+    served batch's misses
     (:func:`repro.sweep.batch.run_point_batch`): the whole chunk goes
     through the batch evaluator (:func:`_evaluate_pending_batch`), whose
     lanes also emit the chunk's events when the caller is traced.  It
     computes every point it is given; which points are pending is the
-    caller's call (:func:`_read_stored`).  Every evaluation calibrates
-    the executor's point-cost model.
+    caller's call (:func:`_read_stored`).
 
     A batch returns all its points or raises, so a failed one is
     recovered untraced: every point the batch finished before the
@@ -351,34 +342,21 @@ def _evaluate_pending_batch(
     Computes every point via
     :func:`repro.kernel.vector.evaluate_ge_points_batch`, so replicate
     lanes sharing a configuration fold over one compiled plan, then
-    persists each summary.  Results come back in ``pending`` order, and
-    the measured wall time calibrates the executor's point-cost model.
+    persists each summary.  Results come back in ``pending`` order.
     ``finished``, when given, collects ``{position: summary dict}`` of
     each point as the batch completes it — also when the batch then
     raises.
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
-    points = [pt for _, pt in pending]
-    t0 = time.perf_counter()
     summaries = evaluate_ge_points_batch(
-        points, params, cost_model, uq=uq,
+        [pt for _, pt in pending], params, cost_model, uq=uq,
         done=None if finished is None else finished.__setitem__,
     )
-    elapsed = time.perf_counter() - t0
-    # Apportion the batch's wall time across its points by weight: each
-    # observation then carries the batch's mean rate, which is what the
-    # executor's EWMA wants to track.
-    total_w = grid_weight(points)
-    rate = elapsed / total_w if total_w > 0.0 else 0.0
-    results: list[tuple[int, PointSummary]] = []
-    for (idx, point), summary in zip(pending, summaries):
-        results.append((idx, _persist(summary, point, store)))
-        observe_point_cost(
-            point.n, point.b, point.with_measured,
-            rate * point_weight(point.n, point.b, point.with_measured),
-        )
-    return results
+    return [
+        (idx, _persist(summary, point, store))
+        for (idx, point), summary in zip(pending, summaries)
+    ]
 
 
 def run_sweep(
@@ -386,8 +364,7 @@ def run_sweep(
     params: LogGPParameters,
     cost_model: CostModel,
     *,
-    workers: Optional[int] = 1,
-    executor: Optional[str] = None,
+    workers: Union[int, str] = 1,
     store: StoreLike = None,
     resume: bool = True,
     chunk_size: Optional[int] = None,
@@ -404,14 +381,11 @@ def run_sweep(
         The grid (see :func:`repro.sweep.expand_grid`); results come
         back in this order regardless of ``workers``.
     workers:
-        Pool width (``None``: every available CPU).  Without an
-        ``executor`` it also picks the strategy: ``None`` or ``<= 1``
-        runs ``serial``, ``> 1`` runs ``process``.
-    executor:
-        Execution strategy: ``"serial"`` (in-process, no pool, no
-        pickling) or ``"process"`` force one; ``"auto"`` lets the
-        calibrated cost model choose (see :mod:`repro.sweep.executor`).
-        Every strategy is bit-identical — only wall time differs.
+        ``1`` runs serial (in-process, no pool, no pickling), ``N > 1``
+        a process pool of ``min(N, pending points)``, and ``"auto"``
+        lets a fixed rule over the CPU count and the grid's weight
+        choose (see :mod:`repro.sweep.executor`).  Every choice is
+        bit-identical — only wall time differs.
     store:
         An :class:`ExperimentStore`, a directory for one, or ``None``
         (compute-only).  Workers persist what they compute.
@@ -444,22 +418,18 @@ def run_sweep(
 
     Raises
     ------
+    ValueError
+        ``workers`` is neither ``"auto"`` nor an int >= 1, or
+        ``chunk_size`` is below 1.
     concurrent.futures.process.BrokenProcessPool
         A pool worker died abruptly (killed by a signal, out of memory):
         the sweep fails instead of waiting for the lost chunk.  Points
         finished before that stay in the store for a resumed run.
     """
     points = tuple(points)
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    check_workers(workers)
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if executor is None:
-        executor = "process" if workers is not None and workers > 1 else "serial"
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
     if isinstance(store, (str, Path)):
         store = _open_store(store, params, cost_model, uq)
     tracer = get_tracer()
@@ -484,33 +454,9 @@ def run_sweep(
 
     n_chunks = 0
     decision: Optional[ExecutorDecision] = None
-    if (
-        executor == "auto"
-        and len(pending) > 1
-        and available_cpus() > 1
-        and estimate_grid_cost([pt for _, pt in pending]) is None
-    ):
-        # Cold cost model: evaluate the *median-weight* pending point
-        # serially, timed, so the decision below runs calibrated.  The
-        # heaviest point would pay the grid's critical path before the
-        # pool even spawns; the lightest measures mostly fixed overhead
-        # and inflates the per-weight rate by orders of magnitude.
-        by_weight = sorted(
-            range(len(pending)),
-            key=lambda i: point_weight(
-                pending[i][1].n, pending[i][1].b, pending[i][1].with_measured,
-            ),
-        )
-        probe = [pending.pop(by_weight[len(by_weight) // 2])]
-        with tracer.span("sweep.probe", points=1):
-            probed = _evaluate_chunk(probe, params, cost_model, store, uq)
-        finish(probed)
     if pending:
-        with tracer.span("sweep.decide", requested=executor, points=len(pending)):
-            decision = decide_executor(
-                [pt for _, pt in pending], executor, workers,
-                mp_context=mp_context,
-            )
+        with tracer.span("sweep.decide", requested=workers, points=len(pending)):
+            decision = decide_executor([pt for _, pt in pending], workers)
         tracer.count(f"sweep.decision.{decision.executor}")
 
     if pending and decision.executor == "serial":

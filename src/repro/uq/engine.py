@@ -94,8 +94,7 @@ def run_uq(
     ci: float = 0.95,
     base_seed: int = 0,
     with_measured: bool = True,
-    workers: Optional[int] = 1,
-    executor: Optional[str] = None,
+    workers: Union[int, str] = 1,
     store=None,
     resume: bool = True,
     chunk_size: Optional[int] = None,
@@ -125,7 +124,7 @@ def run_uq(
     )
     result = run_sweep(
         grid, params, cost_model,
-        workers=workers, executor=executor, store=store, resume=resume,
+        workers=workers, store=store, resume=resume,
         chunk_size=chunk_size, progress=progress,
         mp_context=mp_context, uq=spec, trace_shard_dir=trace_shard_dir,
     )

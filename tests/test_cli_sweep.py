@@ -144,14 +144,13 @@ class TestProgressAndChunking:
 class TestExecutorFlag:
     def test_executor_outputs_equal_legacy_serial(self, capsys):
         legacy = run_json([*BASE, "--workers", "1"], capsys)
-        for executor in ("serial", "process", "auto"):
-            got = run_json([*BASE, "--executor", executor, "--workers", "2"],
-                           capsys)
-            assert got == legacy, executor
+        for workers in ("2", "auto"):
+            got = run_json([*BASE, "--workers", workers], capsys)
+            assert got == legacy, workers
 
     def test_workers_default_is_auto(self, tmp_path, capsys):
-        # no --workers: the self-tuning executor decides, and the manifest
-        # records both the strategy and the full decision rationale
+        # no --workers: the auto rule decides, and the manifest records
+        # both the strategy and the full decision rationale
         m = tmp_path / "auto.json"
         assert main([*BASE, "--manifest-out", str(m)]) == 0
         capsys.readouterr()
@@ -162,6 +161,8 @@ class TestExecutorFlag:
         assert decision["executor"] == stats["executor"]
         assert decision["reason"]
         assert decision["cpu_count"] >= 1
+        assert "est_total_s" not in decision
+        assert "spawn_overhead_s" not in decision
 
     def test_workers_auto_equals_default(self, capsys):
         assert run_json([*BASE, "--workers", "auto"], capsys) == run_json(
@@ -170,12 +171,12 @@ class TestExecutorFlag:
 
     def test_forced_executor_recorded_in_manifest(self, tmp_path, capsys):
         m = tmp_path / "forced.json"
-        assert main([*BASE, "--executor", "process", "--workers", "2",
-                     "--manifest-out", str(m)]) == 0
+        assert main([*BASE, "--workers", "2", "--manifest-out", str(m)]) == 0
         capsys.readouterr()
         stats = json.loads(m.read_text())["extra"]["sweep"]
         assert stats["executor"] == "process"
         assert stats["workers"] == 2
+        assert stats["decision"]["requested"] == 2
         assert stats["decision"]["reason"] == "forced by caller"
 
     def test_bad_workers_value_rejected(self, capsys):
@@ -195,31 +196,20 @@ class TestExecutorFlag:
         assert "error: chunk_size must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["sweep", "uq"])
+    def test_zero_workers_rejected(self, capsys, verb):
+        # 0 names no strategy: rejected before dispatch, not run serial
+        code = main([verb, *BASE[1:], "--workers", "0", "--no-manifest"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: workers must be >= 1 or 'auto', got 0" in err
+        assert "Traceback" not in err
+
     def test_bad_executor_value_rejected(self, capsys):
-        for value in ("gpu", "thread"):
+        # --workers is the one execution knob: the old --executor flag
+        # exits 2 instead of being silently ignored
+        for value in ("serial", "process", "auto"):
             with pytest.raises(SystemExit) as exc:
                 main([*BASE, "--executor", value, "--no-manifest"])
             assert exc.value.code == 2
-
-    def test_legacy_workers_keeps_legacy_strategy(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # explicit --workers N without --executor must not consult the
-        # cost model: N alone picks serial vs process, as it always did
-        from repro.sweep import executor as executor_mod
-        from repro.sweep import runner as runner_mod
-
-        def _no_model(*args, **kwargs):
-            raise AssertionError("--workers N consulted the cost model")
-
-        monkeypatch.setattr(runner_mod, "estimate_grid_cost", _no_model)
-        monkeypatch.setattr(executor_mod, "estimate_grid_cost", _no_model)
-        monkeypatch.setattr(executor_mod, "measure_spawn_overhead", _no_model)
-        m = tmp_path / "legacy.json"
-        assert main([*BASE, "--workers", "2", "--manifest-out", str(m)]) == 0
-        capsys.readouterr()
-        stats = json.loads(m.read_text())["extra"]["sweep"]
-        assert stats["decision"]["requested"] == "process"
-        assert stats["decision"]["reason"] == "forced by caller"
-        assert stats["decision"]["spawn_overhead_s"] is None
-        assert stats["executor"] == "process"
-        assert stats["workers"] == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

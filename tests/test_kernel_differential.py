@@ -264,32 +264,30 @@ class TestBatchLanes:
 
 
 class TestExecutorDigests:
-    """Every executor strategy agrees with the serial reference."""
+    """Every ``workers`` strategy agrees with the serial reference."""
 
     GRID = expand_grid([120], [20, 30], ["diagonal", "stripped"], seeds=(0,))
 
     def test_all_executors_match_reference(self):
         with reference_engine():
             ref = run_sweep(self.GRID, MEIKO_CS2, CM, workers=1).digest()
-        for executor in ("serial", "process", "auto"):
+        for workers in (1, 2, "auto"):
             clear_all_caches()
-            result = run_sweep(
-                self.GRID, MEIKO_CS2, CM, executor=executor, workers=2
-            )
-            assert result.digest() == ref, executor
+            result = run_sweep(self.GRID, MEIKO_CS2, CM, workers=workers)
+            assert result.digest() == ref, workers
 
     def test_uq_executor_matches_reference(self):
         spec = UQSpec(sigma=0.05, op_sigma=0.03, jitter_sigma=0.1)
 
-        def run(fast, executor):
+        def run(fast, workers):
             clear_all_caches()
             with _engine(fast):
                 r = run_uq(
                     [120], [30], ["diagonal"], MEIKO_CS2, CM,
-                    spec=spec, replicates=3, executor=executor,
+                    spec=spec, replicates=3, workers=workers,
                 )
             return r.replicate_digest(), r.summary_digest()
 
-        ref = run(False, None)
-        for executor in ("serial", "auto"):
-            assert run(True, executor) == ref, executor
+        ref = run(False, 1)
+        for workers in (1, "auto"):
+            assert run(True, workers) == ref, workers

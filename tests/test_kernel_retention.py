@@ -68,7 +68,7 @@ def test_fig7_sweep_keeps_no_trace(built):
     """The n=480 Figure 7 grid (the benchmark's fig7-sweep workload)."""
     blocks = [b for b in PAPER_BLOCK_SIZES if 480 % b == 0]
     grid = expand_grid(480, blocks, ["diagonal", "stripped"])
-    result = run_sweep(grid, MEIKO_CS2, CM, executor="serial")
+    result = run_sweep(grid, MEIKO_CS2, CM, workers=1)
     assert result.stats.computed == len(grid)
     assert len(built["plans"]) == len(grid)
     assert built["traces"] == []

@@ -4,9 +4,10 @@ The contract under test (the heart of the serve layer's cost story):
 
 * A burst of identical cold requests runs **exactly one** simulation —
   asserted two independent ways: the tracer records exactly one
-  ``serve.batch`` span with one computed point, and the kernel memo's
-  calibration counter (`cost_observation_count`, incremented once per
-  point actually evaluated) lands on exactly 1.
+  ``serve.batch`` span with one computed point, and the
+  ``sweep.points_computed`` counter (incremented by
+  :func:`repro.sweep.run_point_batch` once per point actually
+  evaluated) lands on exactly 1.
 * Every one of the N responses is digest-identical to the serial
   :func:`repro.core.predictor.summarize_ge_point` answer.
 * Distinct cold points arriving inside one batching window coalesce
@@ -17,7 +18,6 @@ import threading
 
 from repro.core import MEIKO_CS2, CalibratedCostModel
 from repro.core.predictor import summarize_ge_point
-from repro.kernel.memo import clear_cost_observations, cost_observation_count
 from repro.obs import Tracer, tracing
 from repro.serve import PredictionService, ServeConfig
 from repro.serve.protocol import point_digest
@@ -51,9 +51,12 @@ def spans(tracer, name):
     return [e for e in tracer.events if e.name == name]
 
 
+def points_computed(tracer):
+    return tracer.metrics.counter("sweep.points_computed").value
+
+
 class TestSingleFlight:
     def test_n_threads_one_simulation(self, tmp_path):
-        clear_cost_observations()
         tracer = Tracer()
         config = ServeConfig(
             store_dir=str(tmp_path / "store"), batch_window_s=0.25
@@ -63,7 +66,7 @@ class TestSingleFlight:
             stats = service.stats()
 
         # one simulation, however you count it
-        assert cost_observation_count() == 1
+        assert points_computed(tracer) == 1
         batch_spans = spans(tracer, "serve.batch")
         assert len(batch_spans) == 1
         assert batch_spans[0].attrs["points"] == 1
@@ -92,7 +95,6 @@ class TestSingleFlight:
         assert len(spans(tracer, "serve.cache")) == 8
 
     def test_distinct_misses_coalesce_into_one_batch(self, tmp_path):
-        clear_cost_observations()
         tracer = Tracer()
         docs = [
             {"n": 120, "b": b, "layout": layout}
@@ -107,7 +109,7 @@ class TestSingleFlight:
             stats = service.stats()
 
         assert all(r["status"] == "ok" for r in results)
-        assert cost_observation_count() == len(docs)
+        assert points_computed(tracer) == len(docs)
         batch_spans = spans(tracer, "serve.batch")
         assert len(batch_spans) == 1
         assert batch_spans[0].attrs["points"] == len(docs)

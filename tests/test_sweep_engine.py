@@ -84,8 +84,9 @@ class TestSerialEngine:
         assert c.digest() != a.digest()
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_sweep(GRID, PARAMS, CM, workers=-1)
+        for workers in (-1, 0):
+            with pytest.raises(ValueError, match="workers must be >= 1 or 'auto'"):
+                run_sweep(GRID, PARAMS, CM, workers=workers)
 
     @pytest.mark.parametrize("chunk_size", [-1, 0])
     def test_chunk_size_below_one_rejected(self, chunk_size):

@@ -47,7 +47,7 @@ store, marker = sys.argv[1:]
 try:
     run_sweep(
         GRID, PARAMS, KillingCostModel(marker),
-        executor="process", workers=2, chunk_size=1, store=store,
+        workers=2, chunk_size=1, store=store,
     )
 except BrokenProcessPool:
     sys.exit({BROKEN_POOL_EXIT})
