@@ -4,23 +4,31 @@ PR 1 made the simulators observable; PR 6's ring-buffer tracer makes
 observability affordable.  This bench quantifies both halves of that
 claim on the Figure 7 prediction sweep:
 
+Every timing comes from ``ROUNDS`` interleaved rounds.  Each round
+times, back to back, a loop of disabled emission-site checks, the sweep
+untraced ("off"), the sweep under the sampled config and the sweep under
+a default-config tracer ("on"), so the three sweeps of a round see the
+same host load; a sweep's recorded time is the median over the rounds,
+and every round's values are recorded too.  (On a shared 2-CPU host one
+sweep drifts about 2x between moments, so a best-of-N taken at
+different moments can misstate the overhead many times over.)
+
 * ``disabled_overhead_pct`` — an upper bound on what the disabled hooks
   cost, computed as (number of emission-site checks) x (measured cost of
   one ``get_tracer().enabled`` check) relative to the sweep time.  The
   check count is bounded by the events an *enabled* run emits, since
   every disabled site corresponds to at most one suppressed event.  Each
-  of ``DISABLED_ROUNDS`` rounds times a check loop and an untraced sweep
-  back to back, so both see the same host load; the recorded bound is
-  the median round's.  (On a shared 2-CPU host either input alone drifts
-  about 2x between moments.)  Target (asserted always): **< 5%**.
-* ``enabled_overhead_pct`` — the honest price of recording: the same
-  sweep under a live default-config tracer, relative to the disabled
-  run.  Target (asserted on >= 4-CPU hosts, and CI-gated by
-  ``check_throughput.py --obs-enabled``): **<= 10%**.  The pre-ring-buffer
-  tracer measured 109% here.
+  round's bound comes from its own check loop and untraced sweep; the
+  recorded bound is the median round's.  Target (asserted always):
+  **< 5%**.
+* ``enabled_overhead_pct`` — the honest price of recording: the median
+  sweep under a live default-config tracer, relative to the median
+  untraced sweep.  Target (asserted on >= 4-CPU hosts, and CI-gated by
+  ``check_throughput.py --obs-enabled``): **<= 10%**.  The
+  pre-ring-buffer tracer measured 109% here.
 * ``per_event_emit_ns`` — the marginal recording cost per retained
   event, ``(enabled_s - disabled_s) / events``.
-* ``sampled`` — the same sweep again under ``--trace-sample 16``-style
+* ``sampled`` — the same sweep under ``--trace-sample 16``-style
   config, demonstrating what deterministic sampling buys on top.
 
 Results are printed and recorded into ``BENCH_obs.json`` at the repo
@@ -51,8 +59,8 @@ TARGET_DISABLED_PCT = 5.0
 TARGET_ENABLED_PCT = 10.0
 #: the sampled demonstration config (1-in-16 on the per-message categories)
 SAMPLE_SPEC = "send=16,recv=16"
-#: back-to-back (check loop, untraced sweep) pairs behind the disabled bound
-DISABLED_ROUNDS = 5
+#: interleaved (check loop, off, sampled, on) rounds behind every timing
+ROUNDS = 5
 
 
 def _kernel():
@@ -71,53 +79,69 @@ def _per_check_cost_s(checks: int = 1_000_000) -> float:
     return (time.perf_counter() - t0) / checks
 
 
-def _disabled_rounds(rounds: int) -> list[tuple[float, float]]:
-    """``(untraced sweep s, per-check s)`` pairs, each timed back to back."""
-    out = []
-    for _ in range(rounds):
-        per_check_s = _per_check_cost_s()
+def _sweep(config=None):
+    """One timed sweep: ``(seconds, tracer)``, untraced when ``config`` is None.
+
+    A traced sweep gets a fresh tracer; its events are counted by the
+    caller, outside the timed section.
+    """
+    if config is None:
         t0 = time.perf_counter()
         _kernel()
-        out.append((time.perf_counter() - t0, per_check_s))
-    return out
+        return time.perf_counter() - t0, None
+    tracer = Tracer(config=config)
+    with tracing(tracer):
+        t0 = time.perf_counter()
+        _kernel()
+        return time.perf_counter() - t0, tracer
 
 
-def _traced_sweep(config=None, repeats=2):
-    """Best-of-``repeats`` enabled sweep: (seconds, retained events, tracer).
+def _rounds(rounds: int):
+    """``rounds`` interleaved rounds, and the last round's enabled tracer.
 
-    A fresh tracer per repeat (the previous one is freed before the next
-    run starts), so each repetition pays the same cold-buffer cost and
-    the minimum is comparable with the fastest untraced round.
+    Each round is a dict of its per-check cost and its off, sampled and
+    on sweep times with their retained event counts.  The enabled run
+    comes last in a round and its tracer is released before the next
+    round starts, so no timed sweep runs while millions of records from
+    an earlier one are still held.
     """
-    best = float("inf")
+    sample = TraceConfig.parse(sample=SAMPLE_SPEC)
+    out = []
     tracer = None
-    for _ in range(repeats):
-        tracer = Tracer(config=config)
-        with tracing(tracer):
-            t0 = time.perf_counter()
-            _kernel()
-            best = min(best, time.perf_counter() - t0)
-    return best, len(tracer.events), tracer
+    for _ in range(rounds):
+        tracer = None
+        per_check_s = _per_check_cost_s()
+        off_s, _ = _sweep()
+        sampled_s, sampled = _sweep(sample)
+        sampled_events = len(sampled.events)
+        del sampled
+        on_s, tracer = _sweep(TraceConfig())
+        out.append({
+            "per_check_ns": per_check_s * 1e9,
+            "off_s": off_s,
+            "sampled_s": sampled_s,
+            "sampled_events": sampled_events,
+            "on_s": on_s,
+            "events": len(tracer.events),
+        })
+    return out, tracer
 
 
 def test_obs_overhead(benchmark):
     _kernel()  # warm calibration tables and trace builders
 
-    rounds = _disabled_rounds(DISABLED_ROUNDS)
-    disabled_s = min(sweep_s for sweep_s, _ in rounds)
-    # sampled first: the default-config tracer below retains millions of
-    # records, and holding those while timing the sampled sweep would
-    # charge the smaller run for the bigger run's memory pressure
-    sampled_s, sampled_events, _ = _traced_sweep(
-        TraceConfig.parse(sample=SAMPLE_SPEC)
-    )
-    enabled_s, events, tracer = _traced_sweep()
+    rounds, tracer = _rounds(ROUNDS)
+    disabled_s = statistics.median(r["off_s"] for r in rounds)
+    enabled_s = statistics.median(r["on_s"] for r in rounds)
+    sampled_s = statistics.median(r["sampled_s"] for r in rounds)
+    events = rounds[-1]["events"]
+    sampled_events = rounds[-1]["sampled_events"]
 
     # each round's bound from its own check loop and sweep; the median round
-    round_bounds = [100.0 * events * per_check_s / sweep_s
-                    for sweep_s, per_check_s in rounds]
+    round_bounds = [100.0 * events * r["per_check_ns"] * 1e-9 / r["off_s"]
+                    for r in rounds]
     disabled_overhead_pct = statistics.median(round_bounds)
-    per_check_s = statistics.median(per_check_s for _, per_check_s in rounds)
+    per_check_s = statistics.median(r["per_check_ns"] for r in rounds) * 1e-9
     per_event_emit_ns = 1e9 * (enabled_s - disabled_s) / events if events else 0.0
     enabled_overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
     sampled_overhead_pct = 100.0 * (sampled_s - disabled_s) / disabled_s
@@ -132,6 +156,8 @@ def test_obs_overhead(benchmark):
         "n": MATRIX_N,
         "block_sizes": list(BLOCK_SIZES),
         "cpu_count": cpu_count,
+        "rounds": len(rounds),
+        "statistic": "median over interleaved rounds",
         "categories": "all",
         "sample_rate": 1,
         "sweep_disabled_s": disabled_s,
@@ -151,6 +177,7 @@ def test_obs_overhead(benchmark):
             "events": sampled_events,
             "overhead_pct": sampled_overhead_pct,
         },
+        "per_round": rounds,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
     manifest = RunRecord.begin("bench:obs_overhead")
@@ -167,6 +194,7 @@ def test_obs_overhead(benchmark):
 
     print()
     print(f"observability overhead — {scale_banner()}")
+    print(f"  medians of {len(rounds)} interleaved rounds on {cpu_count} CPU(s)")
     print(f"  sweep, tracing disabled : {disabled_s:8.3f} s")
     print(f"  sweep, tracing enabled  : {enabled_s:8.3f} s "
           f"({enabled_overhead_pct:+.1f}%, target <= {TARGET_ENABLED_PCT}%)")
@@ -177,7 +205,7 @@ def test_obs_overhead(benchmark):
     print(f"  per-event emission      : {per_event_emit_ns:.1f} ns")
     print(f"  disabled-site check     : {per_check_s * 1e9:.1f} ns")
     print(f"  disabled overhead bound : {disabled_overhead_pct:.3f}% "
-          f"(median of {DISABLED_ROUNDS} rounds "
+          f"(median of {len(rounds)} rounds "
           f"{min(round_bounds):.2f}-{max(round_bounds):.2f}%, "
           f"target < {TARGET_DISABLED_PCT}%)")
     print(f"  recorded -> {BENCH_JSON.name}")

@@ -26,14 +26,14 @@ event, is the differential oracle in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .loggp import LogGPParameters
 from .message import CommPattern
-from .events import CommEvent
-from .standard_sim import SimulationResult, step_result
+from .standard_sim import SimulationResult, simulate_step
 
 __all__ = ["simulate_causal"]
 
@@ -59,11 +59,10 @@ def simulate_causal(
     del rng, seed  # deterministic; kept for API symmetry
     from ..kernel.fastdes import causal_step
 
-    events: list[CommEvent] = []
-    ctimes, des_events = causal_step(
-        params, pattern.remote_records(), start_times, latency_of, events,
-        pattern.messages,
-    )
-    return step_result(
-        params, pattern, start_times, ctimes, events, "causal", des_events
-    )
+    step = causal_step
+    if latency_of is not None:
+        messages = pattern.messages
+        step = partial(
+            causal_step, latency_of=lambda rec: latency_of(messages[rec[3]])
+        )
+    return simulate_step(step, "causal", params, pattern, start_times, None)

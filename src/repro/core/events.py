@@ -113,6 +113,19 @@ class StepTimeline:
         """Total time ``proc`` spent engaged in operations this step."""
         return sum(e.duration for e in self.events if e.proc == proc)
 
+    def op_records(self) -> list[tuple]:
+        """The operations as the step simulators' sink tuples, in event order.
+
+        One ``(proc, kind, start, duration, (src, dst, size, uid),
+        arrival)`` per event: what
+        :meth:`repro.obs.events.Tracer.emit_comm_step` records.
+        """
+        return [
+            (e.proc, e.kind, e.start, e.duration,
+             (e.message.src, e.message.dst, e.message.size, e.message.uid), e.arrival)
+            for e in self.events
+        ]
+
     def busy_times(self) -> dict[int, float]:
         """Engaged time of every participating processor, in one pass.
 

@@ -39,7 +39,7 @@ from .events import CommEvent, StepTimeline
 from .loggp import LogGPParameters
 from .message import CommPattern, Message
 
-__all__ = ["SimulationResult", "simulate_standard", "step_result"]
+__all__ = ["SimulationResult", "simulate_standard", "simulate_step"]
 
 
 @dataclass
@@ -87,49 +87,43 @@ def simulate_standard(
     """
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
-    return _simulate(params, pattern, start_times, rng)
-
-
-def _simulate(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> SimulationResult:
     from ..kernel.fastsim import standard_step
 
-    events: list[CommEvent] = []
-    ctimes, _ = standard_step(
-        params, pattern.remote_records(), start_times, rng, events, pattern.messages
-    )
-    return step_result(params, pattern, start_times, ctimes, events, "standard")
+    return simulate_step(standard_step, "standard", params, pattern, start_times, rng)
 
 
-def step_result(
+def simulate_step(
+    step,
+    algo: str,
     params: LogGPParameters,
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
-    ctimes: dict[int, float],
-    events: list[CommEvent],
-    algo: str,
-    des_events: Optional[int] = None,
+    rng: Optional[np.random.Generator],
 ) -> SimulationResult:
-    """Wrap one kernel step (its clocks and event sink) as a result.
+    """Run one record-level kernel step on ``pattern`` and wrap it as a result.
 
-    Emits the step on the ambient tracer (``des_events``, the causal
-    replay's event total, is counted first when given).
+    ``step`` is a kernel step (or anything with its signature, such as
+    the oracle's wrapped reference simulators).  Its sink's flat
+    ``(proc, kind, start, duration, record, arrival)`` tuples become
+    :class:`CommEvent` objects carrying ``pattern.messages[uid]``.
+    Traced, the step is counted in ``sim.comm_steps.<algo>`` and its
+    tuples go to the ambient tracer as they are.
     """
     starts = start_times or {}
-    timeline = StepTimeline(
-        params=params, events=events,
-        start_times={p: starts.get(p, 0.0) for p in ctimes},
-    )
+    sink: list = []
+    ctimes, _ = step(params, pattern.remote_records(), start_times, rng, sink)
+    step_starts = {p: starts.get(p, 0.0) for p in ctimes}
     tracer = get_tracer()
     if tracer.enabled:
-        if des_events is not None:
-            tracer.count("des.events", des_events)
         tracer.count(f"sim.comm_steps.{algo}")
-        tracer.emit_comm_step(timeline, ctimes, algo=algo)
+        tracer.emit_comm_step(sink, ctimes, step_starts, algo)
+    messages = pattern.messages
+    events = [
+        CommEvent(proc, kind, start, duration, messages[rec[3]], arrival)
+        for proc, kind, start, duration, rec, arrival in sink
+    ]
     return SimulationResult(
-        timeline=timeline, ctimes=ctimes, skipped_local=pattern.local_messages()
+        timeline=StepTimeline(params=params, events=events, start_times=step_starts),
+        ctimes=ctimes,
+        skipped_local=pattern.local_messages(),
     )

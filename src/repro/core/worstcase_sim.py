@@ -30,8 +30,7 @@ import numpy as np
 
 from .loggp import LogGPParameters
 from .message import CommPattern
-from .events import CommEvent
-from .standard_sim import SimulationResult, step_result
+from .standard_sim import SimulationResult, simulate_step
 
 __all__ = ["simulate_worstcase"]
 
@@ -46,19 +45,6 @@ def simulate_worstcase(
     """Functional entry point for the overestimation algorithm."""
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
-    return _simulate(params, pattern, start_times, rng)
-
-
-def _simulate(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> SimulationResult:
     from ..kernel.fastsim import worstcase_step
 
-    events: list[CommEvent] = []
-    ctimes, _ = worstcase_step(
-        params, pattern.remote_records(), start_times, rng, events, pattern.messages
-    )
-    return step_result(params, pattern, start_times, ctimes, events, "worstcase")
+    return simulate_step(worstcase_step, "worstcase", params, pattern, start_times, rng)

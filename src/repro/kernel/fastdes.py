@@ -48,12 +48,17 @@ run — the reference pops it after that decision, and the ``DELIVER`` it
 schedules takes the sequence number current at that point.
 
 The step reads its remote messages as flat ``(src, dst, size, uid)``
-records.  Events are built only on request: with ``sink=None`` (the
-untraced machine emulator) no :class:`CommEvent` is constructed at all;
-a caller that passes a sink also passes the pattern's ``messages``
-(indexed by uid), which the events carry.  ``latency_of`` receives the
-:class:`~repro.core.message.Message` when ``messages`` is given, and the
-bare record otherwise.
+records, and ``latency_of`` receives the record of the message whose
+wire latency it draws.  It shares the argument order and the return of
+the :mod:`repro.kernel.fastsim` steps: ``(params, remote, start_times,
+rng, sink)`` in, ``(ctimes, busy)`` out, with each processor's engaged
+time folded in operation order.  ``rng`` is unused (the model is
+deterministic unless ``latency_of`` is not).  Given a ``sink`` list, the
+step appends one flat ``(proc, kind, start, duration, record, arrival)``
+tuple per operation, in the order the reference adds its events.  Like
+the reference engine (:meth:`repro.des.Environment.run`), the step
+counts the DES events it processes into the ambient tracer's
+``des.events`` when tracing is on.
 
 **One decision loop.**  The reference coroutine's body — loop top to the
 next yield — runs inline in the event loop, not in a nested function:
@@ -81,8 +86,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Mapping, Optional, Sequence
 
-from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
+from ..obs.events import get_tracer
 from .memo import send_durations
 
 __all__ = ["causal_step"]
@@ -112,23 +117,21 @@ def causal_step(
     params: LogGPParameters,
     remote: Sequence[tuple[int, int, int, int]],
     start_times: Optional[Mapping[int, float]] = None,
-    latency_of=None,
+    rng=None,
     sink: Optional[list] = None,
-    messages: Optional[Sequence] = None,
-) -> tuple[dict[int, float], int]:
+    latency_of=None,
+) -> tuple[dict[int, float], dict[int, float]]:
     """Flat-heap replay of the causal model (:mod:`repro.core.des_check`)
     over ``(src, dst, size, uid)`` records.
 
-    Returns ``(ctimes, des_events)``: the final clocks and the number of
-    events the reference engine processes.  Appends the step's
-    :class:`CommEvent` stream to ``sink`` if given; its events carry
-    ``messages[uid]``, which ``latency_of`` then receives too (the
-    record itself when ``messages`` is ``None``).
+    Returns ``(ctimes, busy)``.  Appends one ``(proc, kind, start,
+    duration, record, arrival)`` tuple per operation to ``sink`` if given.
+    ``latency_of(record)`` draws each message's wire latency (default
+    ``params.L``); ``rng`` is accepted for the common step signature.
     """
+    del rng  # deterministic; kept for the common step signature
     if latency_of is None:
-        latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
-    elif messages is not None:
-        latency_of = lambda rec, _of=latency_of: _of(messages[rec[3]])  # noqa: E731
+        latency_of = lambda _rec: params.L  # noqa: E731 - mirrors reference
     starts = start_times or {}
     procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
 
@@ -149,6 +152,7 @@ def causal_step(
     received = [0] * n_procs
     last_kind: list = [None] * n_procs
     last_end = [starts.get(p, 0.0) for p in procs]
+    busy = [0.0] * n_procs
     sends = [deque() for _ in range(n_procs)]
     arrived: list = [[] for _ in range(n_procs)]
     wait_state = [_NO_WAIT] * n_procs
@@ -160,6 +164,7 @@ def causal_step(
         expected[rank_of[rec[1]]] += 1
 
     emit = None if sink is None else sink.append
+    rec_of = None if sink is None else {rec[3]: rec for rec in remote}
 
     # One INIT_PROC per processor at t=0, seqs 0..P-1 — already heap-ordered.
     heap: list[tuple] = [(0.0, i, _INIT_PROC, i) for i in range(n_procs)]
@@ -199,9 +204,8 @@ def causal_step(
         elif kind == _RECV_START:
             recv_start = item[4]
             if emit is not None:
-                emit(CommEvent(
-                    procs[pid], _RECV, recv_start, o, messages[item[6]], arrival=item[5]
-                ))
+                emit((procs[pid], _RECV, recv_start, o, rec_of[item[6]], item[5]))
+            busy[pid] += o
             heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
             seq += 1
             continue
@@ -301,10 +305,8 @@ def causal_step(
                     )
                 else:
                     if emit is not None:
-                        emit(CommEvent(
-                            procs[pid], _RECV, recv_start, o, messages[uid],
-                            arrival=arrival,
-                        ))
+                        emit((procs[pid], _RECV, recv_start, o, rec_of[uid], arrival))
+                    busy[pid] += o
                     heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
                 seq += 1
             elif sq:
@@ -323,9 +325,8 @@ def causal_step(
                     if duration is None:
                         duration = sdur[size] = o + (size - 1) * G
                     if emit is not None:
-                        emit(CommEvent(
-                            procs[pid], _SEND, send_start, duration, messages[rec[3]]
-                        ))
+                        emit((procs[pid], _SEND, send_start, duration, rec, None))
+                    busy[pid] += duration
                     heappush(
                         heap,
                         (now + duration, seq, _SEND_END, pid, send_start + duration, rec),
@@ -345,4 +346,10 @@ def causal_step(
 
     # Every reference schedule maps to one consumed seq, so the final
     # counter equals the engine's processed-event total.
-    return {p: last_end[i] for i, p in enumerate(procs)}, seq
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.count("des.events", seq)
+    return (
+        {p: last_end[i] for i, p in enumerate(procs)},
+        {p: busy[i] for i, p in enumerate(procs)},
+    )

@@ -3,8 +3,7 @@
 One function per algorithm.  :func:`standard_step` and
 :func:`worstcase_step` compute exactly what the reference transcriptions
 (``simulate_standard_reference`` and ``simulate_worstcase_reference`` in
-``tests/oracle.py``) compute — same :class:`CommEvent` stream in the same
-global order, same final clocks, same RNG consumption — but with the
+``tests/oracle.py``) compute — same operations in the same global order, same final clocks, same RNG consumption — but with the
 per-operation overhead removed:
 
 * the LogGP gap rules and durations are inlined (the receive→send gap
@@ -13,16 +12,17 @@ per-operation overhead removed:
   :mod:`repro.kernel.memo`);
 * each reads the step's remote messages as flat ``(src, dst, size,
   uid)`` records (:meth:`CommPattern.remote_records`, or a compiled
-  plan's step) and never touches a :class:`~repro.core.message.Message`
-  unless it emits events;
+  plan's step) and never touches a :class:`~repro.core.message.Message`;
 * each returns ``(ctimes, busy)``: every processor's engaged time is
   folded on the fly — the same per-processor left-fold over the same
   durations in the same order as ``StepTimeline.busy_times()`` over the
-  events.  The :class:`CommEvent` stream is built only when the caller
-  passes a ``sink`` list together with the pattern's ``messages``
-  (indexed by uid, which the events carry); the batch path passes
-  neither.  :func:`repro.core.standard_sim.step_result` wraps a sink
-  into the public :class:`~repro.core.standard_sim.SimulationResult`;
+  events.  Given a ``sink`` list, a step appends one flat ``(proc,
+  kind, start, duration, record, arrival)`` tuple per operation, in the
+  reference's event order (``arrival`` is ``None`` for a send).  The
+  tracer stores those tuples as they are
+  (:meth:`repro.obs.events.Tracer.emit_comm_step`), and
+  :func:`repro.core.standard_sim.simulate_step` turns them into the
+  public :class:`~repro.core.standard_sim.SimulationResult`'s events;
 * random draws are ``seq[int(rng.integers(0, len(seq)))]`` where the
   reference calls ``int(rng.choice(seq))``: on a plain sequence the two
   pick the same element and leave the generator in the same state (the
@@ -69,7 +69,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.events import CommEvent
 from ..core.loggp import LogGPParameters, OpKind
 from .memo import send_durations
 
@@ -86,12 +85,11 @@ def standard_step(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
     sink: Optional[list] = None,
-    messages: Optional[Sequence] = None,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """The Figure 2 algorithm over ``(src, dst, size, uid)`` records.
 
-    Returns ``(ctimes, busy)``.  Appends the step's :class:`CommEvent`
-    stream to ``sink`` if given; its events carry ``messages[uid]``.
+    Returns ``(ctimes, busy)``.  Appends one ``(proc, kind, start,
+    duration, record, arrival)`` tuple per operation to ``sink`` if given.
     """
     starts = start_times or {}
     procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
@@ -104,6 +102,7 @@ def standard_step(
     sdur = send_durations(params)
     sdur_get = sdur.get
     emit = None if sink is None else sink.append
+    rec_of = None if sink is None else {rec[3]: rec for rec in remote}
 
     ctime: dict[int, float] = {}
     busy: dict[int, float] = {}
@@ -165,7 +164,7 @@ def standard_step(
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(proc, _SEND, start_send, duration, messages[uid]))
+                    emit((proc, _SEND, start_send, duration, rec_of[uid], None))
                 bz += duration
                 ct = start_send + duration
                 lk = _SEND
@@ -173,7 +172,7 @@ def standard_step(
             else:
                 arrival, uid = heappop(rh)
                 if emit is not None:
-                    emit(CommEvent(proc, _RECV, start_recv, o, messages[uid], arrival=arrival))
+                    emit((proc, _RECV, start_recv, o, rec_of[uid], arrival))
                 bz += o
                 ct = start_recv + o
                 lk = _RECV
@@ -197,7 +196,7 @@ def standard_step(
             arrival, uid = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
             if emit is not None:
-                emit(CommEvent(p, _RECV, start, o, messages[uid], arrival=arrival))
+                emit((p, _RECV, start, o, rec_of[uid], arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -214,12 +213,11 @@ def worstcase_step(
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
     sink: Optional[list] = None,
-    messages: Optional[Sequence] = None,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """The §4.2 overestimation algorithm over ``(src, dst, size, uid)`` records.
 
-    Returns ``(ctimes, busy)``.  Appends the step's :class:`CommEvent`
-    stream to ``sink`` if given; its events carry ``messages[uid]``.
+    Returns ``(ctimes, busy)``.  Appends one ``(proc, kind, start,
+    duration, record, arrival)`` tuple per operation to ``sink`` if given.
     """
     starts = start_times or {}
     procs = sorted({r[0] for r in remote} | {r[1] for r in remote} | set(starts))
@@ -232,6 +230,7 @@ def worstcase_step(
     sdur = send_durations(params)
     sdur_get = sdur.get
     emit = None if sink is None else sink.append
+    rec_of = None if sink is None else {rec[3]: rec for rec in remote}
 
     ctime: dict[int, float] = {}
     busy: dict[int, float] = {}
@@ -260,7 +259,7 @@ def worstcase_step(
             arrival, uid = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
             if emit is not None:
-                emit(CommEvent(proc, _RECV, start, o, messages[uid], arrival=arrival))
+                emit((proc, _RECV, start, o, rec_of[uid], arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -303,7 +302,7 @@ def worstcase_step(
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(victim, _SEND, start, duration, messages[uid]))
+                    emit((victim, _SEND, start, duration, rec_of[uid], None))
                 busy[victim] += duration
                 end = start + duration
                 ctime[victim] = end
@@ -333,7 +332,7 @@ def worstcase_step(
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
                 if emit is not None:
-                    emit(CommEvent(p, _SEND, start, duration, messages[uid]))
+                    emit((p, _SEND, start, duration, rec_of[uid], None))
                 bz += duration
                 ct = start + duration
                 lk = _SEND

@@ -27,12 +27,15 @@ or not, and every :meth:`repro.core.program_sim.ProgramSimulator.run`
 simulator's extensions ride along without a per-op branch: the fold
 prices ``cache_model`` into per-processor cost tables and adds
 ``iter_overhead_us`` once per phase, and the replay applies ``overlap``
-once per communication step.  Untraced and without ``overlap``, a
-replay runs the sink-free ``standard_step``/``worstcase_step``.  Traced,
-it emits on the ``sim:<mode>`` track a ``compute`` slice per nonzero
-computation phase, each communication step through
-``program_sim._SIMULATORS[mode]`` (looked up per replay, so an injected
-table — the differential oracle, a profiler — is reached), and the
+once per communication step.  Every communication step, in every mode,
+traced or not, runs the kernel step ``program_sim._SIMULATORS[mode]``
+(looked up per replay, so an injected table — the differential oracle,
+a profiler — is reached) on the plan step's records.  Traced or with
+``overlap``, the step also fills a sink of flat operation tuples: the
+tracer stores them as they are, and the overlap extension reads each
+processor's last receive end from them.  Traced, a replay emits on the
+``sim:<mode>`` track a ``compute`` slice per nonzero computation phase,
+each communication step, and the
 ``sim.program_steps``/``sim.program_runs`` counters.  Lanes replay one
 after another (standard, then worst-case, then the point's emulator in
 :func:`evaluate_ge_points_batch`), so a traced batch emits the same
@@ -65,12 +68,10 @@ import numpy as np
 from ..apps.gauss import GEConfig, ge_meta, ge_steps
 from ..core import program_sim
 from ..core.loggp import LogGPParameters, OpKind
-from ..core.message import CommPattern
 from ..core.program_sim import PredictionReport
 from ..layouts import LAYOUTS
 from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
-from .fastsim import standard_step, worstcase_step
 from .memo import memoize
 
 __all__ = [
@@ -81,22 +82,16 @@ __all__ = [
     "evaluate_ge_points_batch",
 ]
 
-#: the sink-free steps an untraced replay runs (same clocks/busy/RNG as
-#: ``program_sim._SIMULATORS``, no CommEvent stream); other modes, and
-#: every traced or overlap replay, go through ``program_sim._SIMULATORS``
-_LEAN_SIMULATORS = {
-    "standard": standard_step,
-    "worstcase": worstcase_step,
-}
-
 #: the engines one GE point evaluates (the ``predict_both`` pair)
 GE_MODES = ("standard", "worstcase")
+
+_RECV = OpKind.RECV
 
 
 class _PlanStep:
     """One program step, compiled into flat records."""
 
-    __slots__ = ("num_procs", "work", "remote", "local", "participants", "_pattern")
+    __slots__ = ("num_procs", "work", "remote", "local", "participants")
 
     def __init__(self, num_procs, work, remote, local, participants):
         self.num_procs = num_procs
@@ -109,26 +104,6 @@ class _PlanStep:
         self.local = local
         #: sorted processors touched by the remote messages
         self.participants = participants
-        self._pattern = None
-
-    @property
-    def pattern(self):
-        """The step's :class:`CommPattern`, built from its records on first use.
-
-        Only traced and overlap replays read it (the public step
-        simulators take a pattern).  ``CommPattern(P, edges)`` numbers
-        messages by insertion, so every uid and per-sender ``seq``
-        equals the original's.  The plan keeps it for the rest of its
-        life.
-        """
-        if self._pattern is None:
-            edges = [None] * (len(self.remote) + len(self.local))
-            for src, dst, size, uid in self.remote:
-                edges[uid] = (src, dst, size)
-            for src, size, uid in self.local:
-                edges[uid] = (src, src, size)
-            self._pattern = CommPattern(self.num_procs, edges)
-        return self._pattern
 
 
 class ProgramPlan:
@@ -326,19 +301,19 @@ def _replay(
     """Walk one (lane, mode) through the plan's steps.
 
     The one loop over program steps: each processor's folded computation
-    phase is added to its clock, then each communication step runs with
-    the participants' clocks as start times and hands back their new
-    clocks.  Untraced and without ``overlap``, a step runs the sink-free
-    ``standard_step``/``worstcase_step``.  Otherwise it runs through
-    ``program_sim._SIMULATORS[mode]``, whose timeline the tracer records
-    and the overlap extension reads.  When the ambient tracer is enabled
-    the replay emits the ``compute`` slices and ``sim.program_*``
+    phase is added to its clock, then each communication step runs the
+    kernel step ``program_sim._SIMULATORS[mode]`` on the step's records,
+    with the participants' clocks as start times, and hands back their
+    new clocks and engaged times.  Traced or with ``overlap``, the step
+    fills a sink of operation tuples, which the tracer records and the
+    overlap extension reads.  When the ambient tracer is enabled the
+    replay also emits the ``compute`` slices and ``sim.program_*``
     counters.
     """
     tracer = get_tracer()
-    step_fn = None if tracer.enabled or overlap else _LEAN_SIMULATORS.get(mode)
-    simulate = program_sim._SIMULATORS[mode]
+    step = program_sim._SIMULATORS[mode]
     traced = tracer.enabled and tracer.wants("compute")
+    comm_steps = f"sim.comm_steps.{mode}"
     P = plan.num_procs
     clocks = [0.0] * P
     comp = [0.0] * P
@@ -358,28 +333,25 @@ def _replay(
             if not pstep.remote:
                 continue
             starts = {p: clocks[p] for p in pstep.participants}
-            if step_fn is not None:
-                ctimes, busy = step_fn(params, pstep.remote, starts, rng)
-            else:
-                result = simulate(params, pstep.pattern, start_times=starts, rng=rng)
-                timeline = result.timeline
-                if overlap:
-                    # Overlap extension: the CPU pays engaged time only;
-                    # data dependencies pin it to its last receive end.
-                    for p in pstep.participants:
-                        busy = timeline.busy_time(p)
-                        comm_busy[p] += busy
-                        last_recv = max(
-                            (
-                                e.end
-                                for e in timeline.events
-                                if e.proc == p and e.kind is OpKind.RECV
-                            ),
-                            default=0.0,
-                        )
-                        clocks[p] = max(starts[p] + busy, last_recv)
-                    continue
-                ctimes, busy = result.ctimes, timeline.busy_times()
+            sink = [] if tracer.enabled or overlap else None
+            ctimes, busy = step(params, pstep.remote, starts, rng, sink)
+            if tracer.enabled:
+                tracer.count(comm_steps)
+                tracer.emit_comm_step(sink, ctimes, starts, mode)
+            if overlap:
+                # Overlap extension: the CPU pays engaged time only;
+                # data dependencies pin it to its last receive end.  A
+                # processor's operations reach the sink in time order, so
+                # its last receive there is the one that ends last.
+                last_recv = {
+                    proc: start + dur
+                    for proc, kind, start, dur, _, _ in sink
+                    if kind is _RECV
+                }
+                for p in pstep.participants:
+                    comm_busy[p] += busy[p]
+                    clocks[p] = max(starts[p] + busy[p], last_recv.get(p, 0.0))
+                continue
             for p in pstep.participants:
                 comm_busy[p] += busy.get(p, 0.0)
                 clocks[p] = ctimes.get(p, clocks[p])

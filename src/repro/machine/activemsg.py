@@ -192,5 +192,8 @@ class SplitCMachine:
         if tracer.enabled:
             tracer.count("sim.activemsg_runs")
             ctimes = {pid: port.last_end for pid, port in self._ports.items()}
-            tracer.emit_comm_step(self.timeline, ctimes, algo="activemsg")
+            tracer.emit_comm_step(
+                self.timeline.op_records(), ctimes, self.timeline.start_times,
+                algo="activemsg",
+            )
         return self.timeline

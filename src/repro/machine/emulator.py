@@ -40,8 +40,8 @@ from ..blockops.calibration import (
     SCAN_US_PER_BLOCK,
 )
 from ..core.costmodel import CostModel
-from ..core.des_check import simulate_causal
 from ..core.loggp import LogGPParameters
+from ..kernel.fastdes import causal_step
 from ..kernel.memo import memoize
 from ..obs.events import get_tracer
 from .cache import BlockCache
@@ -174,13 +174,14 @@ class MachineEmulator:
         structured events on the ``emulator`` track: per-phase ``compute``
         slices (with cache/scan attribution), ``local_copy`` slices for
         self-messages, and the causal communication model's
-        ``comm``/``send``/``recv`` slices (see :mod:`repro.obs`).  Only a
-        traced run builds those events: it looks the causal model up as
-        this module's ``simulate_causal`` (the oracle's injection point)
-        and hands it the step's pattern, built from the plan's records on
-        first use; an untraced run replays each step's records for their
-        clocks alone, with the step's wire latencies drawn in one
+        ``comm``/``send``/``recv`` slices (see :mod:`repro.obs`).  Traced
+        or not, each communication step runs the causal kernel step on
+        the plan step's records, looked up as this module's
+        ``causal_step`` (the oracle's injection point), with the step's
+        wire latencies drawn in one
         :meth:`~repro.machine.network.JitteredNetwork.latencies` call.
+        A traced run also hands the step a sink, whose operation tuples
+        the tracer records.
         """
         # imported on first run, so loading the CLI imports nothing new
         from ..kernel.vector import ProgramPlan, compile_plan
@@ -191,8 +192,6 @@ class MachineEmulator:
             return self._run_plan(plan, tracer)
 
     def _run_plan(self, plan, tracer) -> MeasuredReport:
-        from ..kernel.fastdes import causal_step
-
         # the two slice categories this loop emits, hoisted out of it
         traced = tracer.enabled and tracer.wants("compute")
         traced_copy = tracer.enabled and tracer.wants("local_copy")
@@ -216,7 +215,6 @@ class MachineEmulator:
             for p in range(P)
         ]
         network = self.network
-        latency_of = network.latency_of
 
         clocks = [0.0] * P
         comp = [0.0] * P
@@ -240,23 +238,17 @@ class MachineEmulator:
             if pstep.remote:
                 participants = pstep.participants
                 starts = {p: clocks[p] for p in participants}
+                # Each record is sent once, so the step asks for exactly
+                # len(remote) latencies: the k-th send takes the k-th draw.
+                draw = iter(network.latencies(len(pstep.remote))).__next__
+                sink = [] if tracer.enabled else None
+                ctimes, _ = causal_step(
+                    self.params, pstep.remote, starts, None, sink,
+                    lambda _rec, _draw=draw: _draw(),
+                )
                 if tracer.enabled:
-                    ctimes = simulate_causal(
-                        self.params,
-                        pstep.pattern,
-                        start_times=starts,
-                        latency_of=latency_of,
-                    ).ctimes
-                else:
-                    # Only the clocks are read: replay the records without
-                    # events.  Each record is sent once, so the step asks
-                    # for exactly len(remote) latencies, and the k-th send
-                    # takes the k-th draw either way.
-                    draw = iter(network.latencies(len(pstep.remote))).__next__
-                    ctimes, _ = causal_step(
-                        self.params, pstep.remote, starts,
-                        lambda _rec, _draw=draw: _draw(),
-                    )
+                    tracer.count("sim.comm_steps.causal")
+                    tracer.emit_comm_step(sink, ctimes, starts, "causal")
                 for p in participants:
                     clocks[p] = ctimes.get(p, clocks[p])
             for src, size, _ in pstep.local:

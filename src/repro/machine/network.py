@@ -68,8 +68,9 @@ class JitteredNetwork:
         """Sampled wire latency (µs) for one message (mean ``params.L``).
 
         The draw ignores ``message``.  :meth:`latencies` draws the next
-        ``k`` of these at once, and the untraced emulator uses it, so a
-        subclass whose latency depends on the message must override both.
+        ``k`` of these at once, and the emulator draws every step's
+        latencies through it, so a subclass whose latency depends on the
+        message must override both.
         """
         return apply_jitter(
             self.params.L * self._norm,

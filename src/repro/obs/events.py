@@ -26,8 +26,9 @@ keep an *enabled* run close to the disabled one:
    aggregation) — materialise lazily when :attr:`Tracer.events` is first
    consumed, bit-exactly equal to what eager emission produced.  Whole
    communication steps are recorded as *one* packed record holding the
-   step timeline, so the per-message expansion (the bulk of a traced
-   sweep) happens entirely at export time.
+   step's flat operation tuples, exactly as the step simulators wrote
+   them, so the per-message expansion (the bulk of a traced sweep)
+   happens entirely at export time.
 3. **Category filters and deterministic sampling.**  A
    :class:`repro.obs.config.TraceConfig` turns categories off (zero
    buffer writes, tallied in ``obs.dropped.<category>``) or retains a
@@ -53,7 +54,7 @@ checks ``tracer.enabled`` before doing any work::
 
     tr = get_tracer()
     if tr.enabled:
-        tr.emit_comm_step(timeline, ctimes, algo="standard")
+        tr.emit_comm_step(ops, ctimes, start_times, algo="standard")
 
 The default ambient tracer is :data:`NULL_TRACER` (``enabled = False``,
 every method a no-op), so an uninstrumented run pays one attribute read
@@ -90,7 +91,7 @@ WALL_TRACK = "wall"
 # -- packed record tags (first element of every ring-buffer tuple) ----------
 _R_SLICE = 0     # (_R_SLICE, name, ts, dur, proc, track, attrs)
 _R_INSTANT = 1   # (_R_INSTANT, name, ts, proc, track, attrs)
-_R_COMM = 2      # (_R_COMM, algo, track, events, ctimes, start_times)
+_R_COMM = 2      # (_R_COMM, algo, track, ops, ctimes, start_times)
 
 #: per-category codes feeding the retention hash (stable across processes)
 _CAT_CODE = {cat: i + 1 for i, cat in enumerate(CATEGORIES)}
@@ -335,47 +336,55 @@ class Tracer:
             self.track = prev
 
     # -- domain helpers -----------------------------------------------------
-    def emit_comm_step(self, timeline, ctimes: Mapping[int, float], algo: str) -> None:
+    def emit_comm_step(
+        self,
+        ops,
+        ctimes: Mapping[int, float],
+        start_times: Mapping[int, float],
+        algo: str,
+    ) -> None:
         """Record one simulated communication step.
 
+        ``ops`` holds the step's operations as the step simulators'
+        sinks write them: one ``(proc, kind, start, duration, record,
+        arrival)`` tuple each, where ``kind`` is an
+        :class:`~repro.core.loggp.OpKind`, ``record`` the message's
+        ``(src, dst, size, uid)`` and ``arrival`` ``None`` for a send.
+        ``ctimes`` and ``start_times`` are the participants' clocks
+        after and before the step.
+
         While no comm category is filtered out this appends a *single*
-        packed record referencing the step's timeline, which
+        packed record holding those tuples, which
         :meth:`_comm_step_events` expands (sampling included) when the
         stream materialises.  With a comm-category filter active —
         whose contract is zero buffer writes for the filtered category —
         the same expansion runs now and only retained slices are written.
         ``sim.ops.<algo>`` counts the simulated operations either way.
-
-        ``timeline`` is a :class:`repro.core.events.StepTimeline` (duck
-        typed: ``events`` with ``proc``/``kind``/``start``/``duration``/
-        ``message``, and ``start_times``).
         """
-        events = timeline.events
         try:
             ops_counter = self._ops_counters[algo]
         except KeyError:
             ops_counter = self._ops_counters[algo] = self.metrics.counter(
                 f"sim.ops.{algo}"
             )
-        ops_counter.inc(len(events))
+        ops_counter.inc(len(ops))
         if self._comm_deferred:
-            # Snapshots guard against callers reusing the dicts; the event
-            # list is copied into a tuple so later timeline.add() calls
-            # (none exist today) could not corrupt the deferred record.
+            # Snapshots guard the deferred record against callers that
+            # reuse their containers.
             self._buf.append(
-                (_R_COMM, algo, self.track, tuple(events),
-                 dict(ctimes), dict(timeline.start_times))
+                (_R_COMM, algo, self.track, tuple(ops),
+                 dict(ctimes), dict(start_times))
             )
         else:
             self._buf.extend(
                 (_R_SLICE, e.name, e.ts, e.dur, e.proc, e.track, e.attrs)
                 for e in self._comm_step_events(
-                    algo, self.track, events, ctimes, timeline.start_times
+                    algo, self.track, ops, ctimes, start_times
                 )
             )
 
     def _comm_step_events(
-        self, algo, track, events, ctimes, start_times
+        self, algo, track, ops, ctimes, start_times
     ) -> Iterator[TraceEvent]:
         """The retained events of one communication step, in stream order.
 
@@ -390,37 +399,32 @@ class Tracer:
         comm_whole, send_whole, recv_whole = (c in self._whole for c in _COMM_CATS)
         retains = self._retains
         by_proc: dict[int, list] = {}
-        for e in events:
-            by_proc.setdefault(e.proc, []).append(e)
+        for op in ops:
+            by_proc.setdefault(op[0], []).append(op)
         for p in sorted(set(start_times) | set(by_proc)):
-            ops = by_proc.get(p, ())
-            start = start_times.get(p, ops[0].start if ops else 0.0)
+            mine = by_proc.get(p, ())
+            start = start_times.get(p, mine[0][2] if mine else 0.0)
             finish = ctimes.get(p, start)
-            if not ops and finish <= start:
+            if not mine and finish <= start:
                 continue  # mentioned in start clocks but did nothing
             if comm_whole or retains("comm", p, start):
                 yield TraceEvent(
                     name="comm", kind="slice", ts=start, dur=finish - start,
                     proc=p, track=track, attrs={"algo": algo},
                 )
-            for e in ops:
-                kind = e.kind.value  # "send" | "recv"
-                msg = e.message
-                sending = kind == "send"
+            for _, kind, ts, dur, (src, dst, size, uid), arrival in mine:
+                name = kind.value  # "send" | "recv"
+                sending = name == "send"
                 if not (send_whole if sending else recv_whole) and not retains(
-                    kind, e.proc, e.start, msg.uid
+                    name, p, ts, uid
                 ):
                     continue
-                attrs = {
-                    "peer": msg.dst if sending else msg.src,
-                    "bytes": msg.size,
-                    "uid": msg.uid,
-                }
-                if not sending and e.arrival is not None:
-                    attrs["arrival"] = e.arrival
+                attrs = {"peer": dst if sending else src, "bytes": size, "uid": uid}
+                if not sending and arrival is not None:
+                    attrs["arrival"] = arrival
                 yield TraceEvent(
-                    name=kind, kind="slice", ts=e.start, dur=e.duration,
-                    proc=e.proc, track=track, attrs=attrs,
+                    name=name, kind="slice", ts=ts, dur=dur,
+                    proc=p, track=track, attrs=attrs,
                 )
 
     # -- materialisation ----------------------------------------------------
@@ -550,7 +554,7 @@ class NullTracer(Tracer):
     def in_track(self, track: str) -> Iterator[None]:
         yield
 
-    def emit_comm_step(self, timeline, ctimes, algo) -> None:
+    def emit_comm_step(self, ops, ctimes, start_times, algo) -> None:
         pass
 
 

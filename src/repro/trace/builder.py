@@ -26,7 +26,7 @@ class TraceBuilder:
         self.num_procs = num_procs
         self._trace = ProgramTrace(num_procs=num_procs)
         self._work: dict[int, list[Work]] = {}
-        self._pattern: Optional[CommPattern] = None
+        self._comm: Optional[CommPattern] = None
         self._built = False
 
     def work(
@@ -45,9 +45,9 @@ class TraceBuilder:
 
     def message(self, src_proc: int, dst_proc: int, size: int) -> "TraceBuilder":
         """Record one message in the current step's communication phase."""
-        if self._pattern is None:
-            self._pattern = CommPattern(self.num_procs)
-        self._pattern.add(src_proc, dst_proc, size)
+        if self._comm is None:
+            self._comm = CommPattern(self.num_procs)
+        self._comm.add(src_proc, dst_proc, size)
         return self
 
     def send(
@@ -62,16 +62,16 @@ class TraceBuilder:
 
     def end_step(self, label: str = "") -> "TraceBuilder":
         """Close the current step (kept even if empty, preserving cadence)."""
-        self._trace.add_step(Step(work=self._work, pattern=self._pattern, label=label))
+        self._trace.add_step(Step(work=self._work, pattern=self._comm, label=label))
         self._work = {}
-        self._pattern = None
+        self._comm = None
         return self
 
     def build(self, meta: Optional[dict] = None) -> ProgramTrace:
         """Finalize; flushes a trailing unfinished step if one exists."""
         if self._built:
             raise RuntimeError("build() called twice")
-        if self._work or self._pattern is not None:
+        if self._work or self._comm is not None:
             self.end_step()
         if meta:
             self._trace.meta.update(meta)

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 from ..analysis.sensitivity import parameter_elasticities
-from ..apps.gauss import GEConfig, build_ge_trace
 from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
-from ..core.predictor import RunningTimePredictor
 from ..experiments import PointSummary
+from ..kernel.vector import ge_plan, simulate_programs_batch
 from ..layouts import LAYOUTS
 from ..sweep import SweepResult, expand_grid, run_sweep
 from .reduce import (
@@ -154,6 +153,12 @@ def oat_sensitivity(
     reports the elasticity of the predicted running time plus which
     parameter dominates — the designer-facing ranking of the UQ report.
     Deterministic (no sampling), so it complements the Monte Carlo bands.
+
+    Each block size compiles one plan (:func:`~repro.kernel.vector.ge_plan`),
+    and each of its nine predictions prices that plan as a width-1
+    ``mode`` lane with tie-break seed 0: what
+    :meth:`~repro.core.predictor.RunningTimePredictor.predict` returns
+    on the configuration's trace, bit for bit.
     """
     if layout_name not in LAYOUTS:
         raise ValueError(f"unknown layout {layout_name!r}; known: {sorted(LAYOUTS)}")
@@ -161,11 +166,11 @@ def oat_sensitivity(
     for b in block_sizes:
         if n % b:
             raise ValueError(f"block size {b} does not divide n={n}")
-        layout = LAYOUTS[layout_name](n // b, params.P)
-        trace = build_ge_trace(GEConfig(n=n, b=b, layout=layout))
+        plan = ge_plan(n, b, layout_name, params.P)
 
-        def predict(p: LogGPParameters, _trace=trace) -> float:
-            return RunningTimePredictor(p, cost_model).predict(_trace, mode).total_us
+        def predict(p: LogGPParameters, _plan=plan) -> float:
+            lane = simulate_programs_batch(_plan, [(p, cost_model)], [0], modes=(mode,))
+            return lane[0][mode].total_us
 
         res = parameter_elasticities(predict, params, rel_step=rel_step)
         out.append(

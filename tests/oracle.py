@@ -23,20 +23,23 @@ bit for bit with less interpreter overhead.  The kernel's tests compare
 against these functions, so they are the specification the kernel must
 keep matching.  Each step simulator takes the public signature of its
 runtime twin (``simulate_standard`` / ``simulate_worstcase`` /
-``simulate_causal``); :func:`simulate_program_reference` takes a
+``simulate_causal``) and records nothing on the tracer: recording a step
+is its caller's job; :func:`simulate_program_reference` takes a
 configured :class:`~repro.core.program_sim.ProgramSimulator` and the
 trace its ``run`` would take.
 
-:func:`reference_engine` injects them at the lookup points the whole
-prediction pipeline goes through, for tests that compare end-to-end
-results (GE points, sweeps, UQ ensembles) against the reference.
+:func:`reference_engine` wraps each step simulator as a record-level
+kernel step (:func:`record_step`) and injects it at the lookup points
+the whole prediction pipeline goes through, for tests that compare
+end-to-end results (GE points, sweeps, UQ ensembles) against the
+reference.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -47,12 +50,12 @@ from repro.core.events import CommEvent, StepTimeline
 from repro.core.loggp import LogGPParameters, OpKind
 from repro.core.message import CommPattern, Message
 from repro.core.program_sim import PredictionReport, ProgramSimulator
-from repro.core.standard_sim import SimulationResult
+from repro.core.standard_sim import SimulationResult, simulate_step
 from repro.des import Environment, Event
 from repro.kernel.memo import memoize
 from repro.machine import emulator as emulator_mod
 from repro.machine.cpu import CompPhaseResult, NodeCPU, touched_blocks
-from repro.obs import TraceConfig, Tracer, tracing
+from repro.obs import Tracer, tracing
 from repro.obs.events import get_tracer
 from repro.trace.program import ProgramTrace, Step, Work
 
@@ -64,6 +67,8 @@ __all__ = [
     "build_ge_trace_reference",
     "simulate_program_reference",
     "REFERENCE_SIMULATORS",
+    "pattern_of",
+    "record_step",
     "reference_engine",
 ]
 
@@ -169,10 +174,6 @@ def simulate_standard_reference(
             do_recv(p)
 
     ctimes = {p: state[p].ctime for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.standard")
-        tracer.emit_comm_step(timeline, ctimes, algo="standard")
     return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
 
 
@@ -277,10 +278,6 @@ def simulate_worstcase_reference(
             do_recv(p)
 
     ctimes = {p: state[p].ctime for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.worstcase")
-        tracer.emit_comm_step(timeline, ctimes, algo="worstcase")
     return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
 
 
@@ -395,10 +392,6 @@ def simulate_causal_reference(
     env.run()
 
     ctimes = {p: state[p].last_end for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.causal")
-        tracer.emit_comm_step(timeline, ctimes, algo="causal")
     return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
 
 
@@ -561,12 +554,14 @@ def simulate_program_reference(sim: ProgramSimulator, trace: ProgramTrace) -> Pr
     added to its clock, then the step's communication pattern runs
     through ``program_sim._SIMULATORS[sim.mode]`` (the kernel's step
     simulators, or the oracle's under :func:`reference_engine`) with the
-    current clocks as start times.  Traced, it emits the ``compute``
-    slices and ``sim.program_*`` counters on the ``sim:<mode>`` track.
+    current clocks as start times, wrapped as a public
+    :class:`SimulationResult` by ``simulate_step``, which also records
+    the step when traced.  Traced, it emits the ``compute`` slices and
+    ``sim.program_*`` counters on the ``sim:<mode>`` track.
     """
     tracer = get_tracer()
     with tracer.in_track(f"sim:{sim.mode}"):
-        simulate = program_sim._SIMULATORS[sim.mode]
+        step_fn = program_sim._SIMULATORS[sim.mode]
         cost_model = memoize(sim.cost_model)
         rng = sim.rng if sim.rng is not None else np.random.default_rng(sim.seed)
         clocks = {p: 0.0 for p in range(trace.num_procs)}
@@ -594,7 +589,9 @@ def simulate_program_reference(sim: ProgramSimulator, trace: ProgramTrace) -> Pr
                     for p in (m.src, m.dst)
                 }
                 starts = {p: clocks[p] for p in participants}
-                result = simulate(sim.params, step.pattern, start_times=starts, rng=rng)
+                result = simulate_step(
+                    step_fn, sim.mode, sim.params, step.pattern, starts, rng
+                )
                 timeline = result.timeline
 
                 if sim.overlap:
@@ -640,35 +637,77 @@ REFERENCE_SIMULATORS = {
 }
 
 
+def pattern_of(num_procs: int, remote, local=()) -> CommPattern:
+    """The :class:`CommPattern` of a step's records, uid for uid.
+
+    ``remote`` holds ``(src, dst, size, uid)`` records and ``local``
+    ``(src, size, uid)`` self-messages, as a compiled plan step keeps
+    them.  ``CommPattern`` numbers messages as they are added, so the
+    messages are added in uid order, and each keeps its uid and its
+    per-sender ``seq``.  A uid that neither list holds (a local copy the
+    caller did not pass) becomes a 1-byte self-message of processor 0:
+    no step simulator reads self-messages.
+    """
+    edges = {uid: (src, dst, size) for src, dst, size, uid in remote}
+    edges.update((uid, (src, src, size)) for src, size, uid in local)
+    return CommPattern(
+        num_procs,
+        [edges.get(uid, (0, 0, 1)) for uid in range(max(edges, default=-1) + 1)],
+    )
+
+
+def record_step(simulate):
+    """A pattern-level step simulator as a record-level kernel step.
+
+    The returned function takes and returns what the kernel steps do
+    (``(params, remote, start_times, rng, sink, latency_of)`` in,
+    ``(ctimes, busy)`` out).  It runs ``simulate`` on
+    :func:`pattern_of` the records, hands ``latency_of``, if given, each
+    message's record, and writes the reference timeline's operations to
+    ``sink`` as the kernel's flat tuples.
+    """
+
+    def step(params, remote, start_times, rng=None, sink=None, latency_of=None):
+        num_procs = 1 + max((max(src, dst) for src, dst, _, _ in remote), default=0)
+        pattern = pattern_of(num_procs, remote)
+        options = {}
+        if latency_of is not None:
+            by_uid = {rec[3]: rec for rec in remote}
+            options["latency_of"] = lambda msg: latency_of(by_uid[msg.uid])
+        result = simulate(params, pattern, start_times=start_times, rng=rng, **options)
+        if sink is not None:
+            sink.extend(result.timeline.op_records())
+        busy = result.timeline.busy_times()
+        return result.ctimes, {p: busy.get(p, 0.0) for p in result.ctimes}
+
+    return step
+
+
 @contextmanager
 def reference_engine(tracer: Optional[Tracer] = None) -> Iterator[None]:
     """Run the whole prediction pipeline on the reference simulators.
 
-    Injects the oracle where the pipeline looks its step simulators up:
-    the mode table (``program_sim._SIMULATORS``) that the batch kernel's
-    traced lanes (``ProgramSimulator.run`` among them) and
-    :func:`simulate_program_reference` read, and the emulator's causal
-    model (``repro.machine.emulator.simulate_causal``).
-
-    Untraced, the batch lanes run the sink-free kernel steps and the
-    emulator replays its causal steps for their clocks alone; both bypass
-    these lookups.  So the block runs under ``tracer``, or — when none is
-    given — under a tracer that records no categories (nothing is
-    buffered; tracing never changes a result).  Forked pool workers
-    inherit the injection, so pass ``mp_context="fork"`` to a
-    multi-worker reference sweep.  ``tests/test_traced_batch_parity.py``
-    checks that every communication step of ``run_ge_point`` and
-    ``evaluate_ge_points_batch`` reaches the oracle.
+    Wraps each of :data:`REFERENCE_SIMULATORS` with :func:`record_step`
+    and injects it where the pipeline looks its kernel steps up: the
+    mode table (``program_sim._SIMULATORS``) that every replay
+    (``ProgramSimulator.run`` and the batch kernel's lanes among them)
+    and :func:`simulate_program_reference` read, and the emulator's
+    causal step (``repro.machine.emulator.causal_step``).  Every
+    communication step reaches the oracle, traced or not; with a
+    ``tracer`` the block runs under it.  Forked pool workers inherit the
+    injection, so pass ``mp_context="fork"`` to a multi-worker reference
+    sweep.  ``tests/test_traced_batch_parity.py`` checks that every
+    communication step of ``run_ge_point``, ``evaluate_ge_points_batch``
+    and the emulator reaches the oracle.
     """
-    if tracer is None:
-        tracer = Tracer(config=TraceConfig(categories=frozenset()))
+    steps = {mode: record_step(fn) for mode, fn in REFERENCE_SIMULATORS.items()}
     saved_sims = dict(program_sim._SIMULATORS)
-    saved_causal = emulator_mod.simulate_causal
-    program_sim._SIMULATORS.update(REFERENCE_SIMULATORS)
-    emulator_mod.simulate_causal = simulate_causal_reference
+    saved_causal = emulator_mod.causal_step
+    program_sim._SIMULATORS.update(steps)
+    emulator_mod.causal_step = steps["causal"]
     try:
-        with tracing(tracer):
+        with tracing(tracer) if tracer is not None else nullcontext():
             yield
     finally:
         program_sim._SIMULATORS.update(saved_sims)
-        emulator_mod.simulate_causal = saved_causal
+        emulator_mod.causal_step = saved_causal

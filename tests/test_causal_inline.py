@@ -98,5 +98,32 @@ def test_causal_kernel_equals_des_reference(P, edges, clocks, machine, sequence)
     # the event-free replay of the records: same clocks, same count, and
     # the same draws, asked for with each message's record
     latency_of, asked = _record_latencies(sequence) if sequence else (None, [])
-    ctimes, des_events = causal_step(machine, pattern.remote_records(), starts, latency_of)
+    tracer = Tracer()
+    with tracing(tracer):
+        ctimes, _ = causal_step(
+            machine, pattern.remote_records(), starts, None, None, latency_of
+        )
+    des_events = tracer.metrics.counter("des.events").value
     assert (repr(ctimes), des_events, asked) == (ref[1], ref[2], ref[3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    P=st.integers(min_value=2, max_value=9),
+    edges=_edges,
+    clocks=st.lists(st.sampled_from([0.0, 0.0, 2.0, 5.0]), min_size=9, max_size=9),
+    machine=st.sampled_from(MACHINES),
+)
+def test_causal_kernel_busy_and_sink_equal_reference_timeline(P, edges, clocks, machine):
+    """The folded engaged times and the sink's operation tuples are the
+    reference timeline's, bit for bit and in its event order."""
+    pattern = CommPattern(P, [(s % P, d % P, size) for s, d, size in edges])
+    starts = {p: clocks[p] for p in range(P)}
+    clear_all_caches()
+    ref = simulate_causal_reference(machine, pattern, start_times=starts)
+    ref_busy = ref.timeline.busy_times()
+    sink: list = []
+    ctimes, busy = causal_step(machine, pattern.remote_records(), starts, None, sink)
+    assert repr(ctimes) == repr(ref.ctimes)
+    assert repr(busy) == repr({p: ref_busy.get(p, 0.0) for p in ref.ctimes})
+    assert repr(sink) == repr(ref.timeline.op_records())

@@ -10,8 +10,9 @@ every consumer of the direct plan to it:
   field, on every layout — including one block (only ``op1`` in the op
   table), two blocks per side, one processor, and a processor count that
   does not divide the block grid;
-* the pattern a traced run builds from a plan step equals the reference
-  trace's pattern, message for message;
+* the pattern the oracle builds from a plan step's records
+  (``pattern_of``, what its reference simulators run on) equals the
+  reference trace's pattern, message for message;
 * ``build_ge_trace`` (now a wrapper of the same recurrence) equals the
   reference trace;
 * the emulator measures the same on the direct plan as on a trace.
@@ -28,7 +29,7 @@ from repro.kernel.vector import compile_plan, ge_plan
 from repro.layouts import LAYOUTS
 from repro.machine import JitteredNetwork, MachineEmulator
 
-from .oracle import build_ge_trace_reference
+from .oracle import build_ge_trace_reference, pattern_of
 
 CM = CalibratedCostModel()
 
@@ -93,9 +94,9 @@ def test_step_pattern_equals_reference_pattern(n, b, P, layout):
     trace = _reference(n, b, layout, P)
     assert len(plan.steps) == len(trace.steps)
     for pstep, step in zip(plan.steps, trace.steps):
-        assert pstep.pattern.num_procs == step.pattern.num_procs
-        assert _messages(pstep.pattern) == _messages(step.pattern)
-        assert pstep.pattern is pstep.pattern  # built once, then kept
+        pattern = pattern_of(pstep.num_procs, pstep.remote, pstep.local)
+        assert pattern.num_procs == step.pattern.num_procs
+        assert _messages(pattern) == _messages(step.pattern)
 
 
 @pytest.mark.parametrize("layout", LAYOUT_NAMES)

@@ -72,7 +72,10 @@ class TestTracerApi:
     def test_emit_comm_step_from_simulator(self):
         result = simulate_standard(MEIKO_CS2, sample_pattern(1160))
         tr = Tracer()
-        tr.emit_comm_step(result.timeline, result.ctimes, algo="standard")
+        tr.emit_comm_step(
+            result.timeline.op_records(), result.ctimes,
+            result.timeline.start_times, algo="standard",
+        )
         names = {e.name for e in tr.events}
         assert "comm" in names and "send" in names and "recv" in names
         # every op slice lies inside its processor's comm phase
@@ -113,7 +116,7 @@ class TestAmbientTracer:
             pass
         with nt.in_track("t"):
             pass
-        nt.emit_comm_step(None, {}, algo="none")
+        nt.emit_comm_step(None, {}, {}, algo="none")
         assert nt.events == [] and len(nt.metrics) == 0
 
 

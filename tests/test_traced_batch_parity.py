@@ -13,9 +13,9 @@ counters and the same results digest, at one worker and at two.
 
 The second half pins the differential oracle's reach:
 ``tests/oracle.py::reference_engine`` must route every communication
-step of both GE entry points and of ``ProgramSimulator.run`` through
-the reference simulators, or the oracle suites would compare the kernel
-with itself.
+step of both GE entry points, of ``ProgramSimulator.run`` and of the
+emulator through the reference simulators, traced or not, or the oracle
+suites would compare the kernel with itself.
 """
 
 from __future__ import annotations
@@ -159,6 +159,17 @@ def test_reference_engine_reaches_oracle_from_batch(oracle_calls):
         evaluate_ge_points_batch(points, PARAMS, CM)
     steps = 2 * _comm_steps(96, 24, "diagonal") + _comm_steps(96, 48, "stripped")
     assert oracle_calls == {"standard": steps, "worstcase": steps}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_reference_engine_reaches_oracle_from_emulator(oracle_calls, traced):
+    """A measured point: both predictions and every causal step of the
+    emulator run on the oracle."""
+    with oracle.reference_engine(Tracer() if traced else None):
+        run_ge_point(96, 24, "diagonal", PARAMS, CM, with_measured=True)
+    steps = _comm_steps(96, 24, "diagonal")
+    assert steps > 0
+    assert oracle_calls == {"standard": steps, "worstcase": steps, "causal": steps}
 
 
 def test_reference_engine_reaches_oracle_from_program_simulator(oracle_calls):

@@ -10,8 +10,11 @@ import math
 
 import pytest
 
-from repro.core import MEIKO_CS2, CalibratedCostModel
+from repro.analysis.sensitivity import parameter_elasticities
+from repro.apps.gauss import GEConfig, build_ge_trace
+from repro.core import MEIKO_CS2, CalibratedCostModel, RunningTimePredictor
 from repro.experiments import ExperimentStore, PointSummary
+from repro.layouts import LAYOUTS
 from repro.sweep import expand_grid, run_sweep
 from repro.uq import (
     UQPointSummary,
@@ -189,6 +192,30 @@ class TestOATSensitivity:
         a = oat_sensitivity(120, [24], "diagonal", PARAMS, CM)
         b = oat_sensitivity(120, [24], "diagonal", PARAMS, CM)
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["standard", "worstcase", "causal"])
+    @pytest.mark.parametrize("layout", ["diagonal", "stripped"])
+    def test_plan_lanes_equal_trace_predictions(self, layout, mode):
+        """Pricing one compiled plan per block size gives, repr for repr,
+        the report of predicting each perturbation on the GE trace."""
+
+        def from_trace(b):
+            config = GEConfig(n=120, b=b, layout=LAYOUTS[layout](120 // b, PARAMS.P))
+            trace = build_ge_trace(config)
+            res = parameter_elasticities(
+                lambda p: RunningTimePredictor(p, CM).predict(trace, mode).total_us,
+                PARAMS,
+            )
+            return {
+                "b": b,
+                "layout": layout,
+                "base_us": res.base_us,
+                "elasticity": dict(res.elasticity),
+                "dominant": res.dominant(),
+            }
+
+        got = oat_sensitivity(120, [24, 40], layout, PARAMS, CM, mode=mode)
+        assert repr(got) == repr([from_trace(24), from_trace(40)])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
